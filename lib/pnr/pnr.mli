@@ -3,11 +3,14 @@
 
     - packing groups each LUT with the flop it feeds (one BLE), then
       fills CLB tiles;
-    - placement runs greedy seeding plus simulated annealing on
-      half-perimeter wirelength;
-    - routing decomposes every net into an L of horizontal/vertical
-      channel segments and negotiates congestion against the style's
-      channel width;
+    - placement starts from identity slot order (BLE [i] in slot [i])
+      and anneals slot swaps on half-perimeter wirelength. Each net's
+      cost is cached; a move re-costs only the nets of the swapped
+      BLEs and a rejected move restores them;
+    - routing is one trunk-and-branch pass: per net, a horizontal
+      trunk on the median pin row plus one vertical branch per pin
+      column. Channel use is counted against the style's channel
+      width, with no rip-up or congestion negotiation;
     - the fit check reports a typed shortage ({!Shell_fabric.Fabric.shortage})
       so the flow's step-7 loop can grow the right resource. *)
 
@@ -85,4 +88,13 @@ val fit_loop :
 (** Steps 6–7 of the SheLL flow: size the fabric from the mapped
     netlist's demand, run {!run}, grow the short resource and retry
     until it fits (or [max_grows], default 16, is exhausted — the last
-    attempt is returned in that case). *)
+    attempt is returned in that case).
+
+    The netlist is packed once. Shortages that need no placement —
+    boundary pins over [Fabric.io_capacity], BLEs over the slots, chain
+    cells over [chain_slots] — are grown through without placing, so
+    only channel-overflow failures cost an anneal. If the grows run out
+    during that walk, {!run} places the last fabric, so the result
+    equals the one-attempt-per-grow loop's. Each placed attempt is one
+    [pnr.attempt] span; [pnr_retries] counts the placed attempts that
+    failed and were retried. *)
