@@ -73,15 +73,36 @@ type ctx = {
   reach : bool array;
   live : bool array;
   odc : Odc.t;
-  taint : Taint.t;
+  key_reach : bool array;
+  invalid : (N.invalid * string) list;
+  acyclic : bool;
 }
 
+(* Every fact is computed here, once, before the rules fan out over the
+   pool: the rules then only read the context, so nothing is forced
+   lazily from several domains at once. *)
 let make_ctx subj =
-  let c = Dataflow.output_cones subj.netlist in
-  let odc = Odc.analyze ~values:c.Dataflow.values subj.netlist in
-  let taint = Taint.analyze ~values:c.Dataflow.values subj.netlist in
-  { subj; values = c.Dataflow.values; reach = c.Dataflow.reach;
-    live = c.Dataflow.live; odc; taint }
+  let nl = subj.netlist in
+  let c = Dataflow.output_cones nl in
+  let values = c.Dataflow.values in
+  let masks = Odc.read_masks values nl in
+  let invalid =
+    N.validate_all nl
+    |> List.filter_map (fun d ->
+           match d.Diag.payload with
+           | N.Invalid iv -> Some (iv, d.Diag.message)
+           | _ -> None)
+  in
+  {
+    subj;
+    values;
+    reach = c.Dataflow.reach;
+    live = c.Dataflow.live;
+    odc = Odc.analyze ~values ~masks nl;
+    key_reach = Taint.reached ~values ~masks nl;
+    invalid;
+    acyclic = not (N.has_comb_cycle nl);
+  }
 
 type rule = {
   name : string;
@@ -155,13 +176,17 @@ let m_suppressed =
     "lint_suppressed_total"
 
 let run ?jobs ?(severity = Info) ?(baseline = []) ~rules subj =
-  let ctx = make_ctx subj in
+  let ctx = Obs.with_span "lint.ctx" (fun () -> make_ctx subj) in
   let rules_arr = Array.of_list rules in
   (* rules fan out over the pool; results are collected by rule index,
-     so the report order is the registry order at any job count *)
+     so the report order is the registry order at any job count, and
+     the pool lends the open span to each task, so the span tree has
+     the same shape too *)
   let per_rule =
     Pool.map ?jobs
-      (fun r -> Diag.with_context r.name (fun () -> r.check ctx))
+      (fun r ->
+        Obs.with_span ("lint.rule." ^ r.name) (fun () ->
+            Diag.with_context r.name (fun () -> r.check ctx)))
       rules_arr
   in
   Obs.add m_rules (Array.length rules_arr);

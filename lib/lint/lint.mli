@@ -76,7 +76,9 @@ type finding = {
   message : string;
 }
 
-(** Everything a rule may consult, precomputed once per subject. *)
+(** Everything a rule may consult, precomputed once per subject before
+    the rules fan out (each fact in one linear pass; nothing is left
+    lazy for the pool domains to force). *)
 type ctx = {
   subj : subject;
   values : Dataflow.value array;  (** forward constant facts per net *)
@@ -86,11 +88,23 @@ type ctx = {
       (** nets in the {e functional} cone (constant-aware cuts) *)
   odc : Odc.t;
       (** backward observability: which nets can still reach an output *)
-  taint : Taint.t;
-      (** forward key influence: which key bits reach which nets *)
+  key_reach : bool array;
+      (** per net id: some key bit can still functionally reach it
+          ({!Taint.reached}, the union projection of the taint
+          lattice); [false] on an output means its cone is simulable
+          without the key *)
+  invalid : (Shell_netlist.Netlist.invalid * string) list;
+      (** {!Shell_netlist.Netlist.validate_all} violations with their
+          messages, in its deterministic order *)
+  acyclic : bool;
+      (** the combinational part has no cycle
+          ({!Shell_netlist.Netlist.topo_order} succeeds); the cycle
+          rules then skip their SCC search *)
 }
 
 val make_ctx : subject -> ctx
+(** Build the context. {!run} does this under a [lint.ctx] span and
+    runs each rule under a [lint.rule.<name>] span. *)
 
 type rule = {
   name : string;

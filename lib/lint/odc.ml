@@ -24,18 +24,31 @@ type t = {
   const_cuts : int;  (** nets cut because they are proven constants *)
 }
 
+(* The constant fact on input position [j]. A top-level function, not
+   a local closure, because [read_masks] calls [input_masked] on every
+   read. *)
+let kv values (ins : int array) j = Dataflow.known values.(ins.(j))
+
+(* Mux4 arm [idx] is still selectable under the known select bits *)
+let arm_reachable values ins idx =
+  (match kv values ins 0 with
+  | Some s0 -> (if s0 then 1 else 0) = idx land 1
+  | None -> true)
+  &&
+  match kv values ins 1 with
+  | Some s1 -> (if s1 then 1 else 0) = idx lsr 1
+  | None -> true
+
 (* Is the read of input position [i] of cell [c] masked under the
    constant facts? *)
 let input_masked values (c : Cell.t) i =
   let ins = c.Cell.ins in
-  let v j = values.(ins.(j)) in
-  let kv j = Dataflow.known (v j) in
   match c.Cell.kind with
   | Cell.Const _ -> true
   | Cell.And | Cell.Nand ->
       (* the other operand is a proven controlling 0 *)
-      kv (1 - i) = Some false
-  | Cell.Or | Cell.Nor -> kv (1 - i) = Some true
+      kv values ins (1 - i) = Some false
+  | Cell.Or | Cell.Nor -> kv values ins (1 - i) = Some true
   | Cell.Xor | Cell.Xnor ->
       (* x xor x is constant: toggling the shared net flips both
          operands at once, leaving the output fixed *)
@@ -48,30 +61,22 @@ let input_masked values (c : Cell.t) i =
              same net, the same proven constant, or the select itself
              is pinned *)
           ins.(1) = ins.(2)
-          || (match (kv 1, kv 2) with
+          || (match (kv values ins 1, kv values ins 2) with
              | Some a, Some b -> a = b
              | _ -> false)
-          || kv 0 <> None
-      | 1 -> kv 0 = Some true (* arm a dead when select pinned high *)
-      | 2 -> kv 0 = Some false
+          || kv values ins 0 <> None
+      | 1 -> kv values ins 0 = Some true (* arm a dead when select pinned high *)
+      | 2 -> kv values ins 0 = Some false
       | _ -> false)
   | Cell.Mux4 -> (
       (* ins = [|s0; s1; a; b; c; d|], {s1,s0} selects arm index *)
-      let arm_reachable idx =
-        (match kv 0 with
-        | Some s0 -> (if s0 then 1 else 0) = idx land 1
-        | None -> true)
-        && match kv 1 with
-           | Some s1 -> (if s1 then 1 else 0) = idx lsr 1
-           | None -> true
-      in
       match i with
       | 0 | 1 ->
           let arms_equal =
             ins.(2) = ins.(3) && ins.(3) = ins.(4) && ins.(4) = ins.(5)
           in
-          arms_equal || kv i <> None
-      | _ -> not (arm_reachable (i - 2)))
+          arms_equal || kv values ins i <> None
+      | _ -> not (arm_reachable values ins (i - 2)))
   | Cell.Lut tt ->
       (* masked when the input is pinned, or the residual table over
          the unknown inputs no longer depends on it *)
@@ -87,69 +92,109 @@ let input_masked values (c : Cell.t) i =
           done;
           not (Truthtab.depends_on r !j))
 
-let analyze ?values nl =
+(* One verdict per read, judged once: flat bytes indexed by the cell's
+   offset plus the input position. A LUT builds its residual table once
+   for all of its inputs instead of once per input. *)
+type masks = { off : int array; bits : Bytes.t }
+
+let read_masks values nl =
+  let cells = N.cells nl in
+  let nc = Array.length cells in
+  let off = Array.make (nc + 1) 0 in
+  for ci = 0 to nc - 1 do
+    off.(ci + 1) <- off.(ci) + Array.length cells.(ci).Cell.ins
+  done;
+  let bits = Bytes.make off.(nc) '\000' in
+  for ci = 0 to nc - 1 do
+    let c = cells.(ci) in
+    match c.Cell.kind with
+    | Cell.Lut tt ->
+        let vals = Array.map (fun net -> values.(net)) c.Cell.ins in
+        let r = Dataflow.residual_table tt vals in
+        (* [j] is the position of input [i] among the unknown inputs *)
+        let j = ref 0 in
+        Array.iteri
+          (fun i v ->
+            match Dataflow.known v with
+            | Some _ -> Bytes.set bits (off.(ci) + i) '\001'
+            | None ->
+                if not (Truthtab.depends_on r !j) then
+                  Bytes.set bits (off.(ci) + i) '\001';
+                incr j)
+          vals
+    | _ ->
+        for i = 0 to Array.length c.Cell.ins - 1 do
+          if input_masked values c i then Bytes.set bits (off.(ci) + i) '\001'
+        done
+  done;
+  { off; bits }
+
+let masked m ~cell i = Bytes.get m.bits (m.off.(cell) + i) <> '\000'
+
+let analyze ?values ?masks nl =
   let values =
     match values with Some v -> v | None -> Dataflow.const_values nl
   in
+  let masks = match masks with Some m -> m | None -> read_masks values nl in
   let n = N.num_nets nl in
+  let cells = N.cells nl in
+  (* every driver of every net, so a multi-driven net propagates
+     through each of its drivers: [drv.(dstart.(net)) ..
+     drv.(dstart.(net + 1) - 1)] *)
+  let dstart = Array.make (n + 1) 0 in
+  Array.iter
+    (fun (c : Cell.t) -> dstart.(c.Cell.out + 1) <- dstart.(c.Cell.out + 1) + 1)
+    cells;
+  for net = 1 to n do
+    dstart.(net) <- dstart.(net) + dstart.(net - 1)
+  done;
+  let fill = Array.sub dstart 0 (max n 1) in
+  let drv = Array.make (Array.length cells) 0 in
+  Array.iteri
+    (fun ci (c : Cell.t) ->
+      drv.(fill.(c.Cell.out)) <- ci;
+      fill.(c.Cell.out) <- fill.(c.Cell.out) + 1)
+    cells;
   let observable = Array.make (max n 1) false in
-  let masked_reads = ref 0 in
-  let const_cuts = ref 0 in
+  (* each net is pushed at most once: when it first becomes observable *)
+  let stack = Array.make (max n 1) 0 in
+  let sp = ref 0 in
   (* a proven-constant net carries no toggle: never observable *)
   let mark net =
-    if
-      net >= 0 && net < n
-      && (not observable.(net))
-      && Dataflow.known values.(net) = None
-    then begin
-      observable.(net) <- true;
-      true
-    end
-    else false
+    if net >= 0 && net < n && not observable.(net) then
+      match values.(net) with
+      | Dataflow.Unknown ->
+          observable.(net) <- true;
+          stack.(!sp) <- net;
+          incr sp
+      | _ -> ()
   in
-  Array.iter (fun net -> ignore (mark net)) (N.output_nets nl);
-  let cells = N.cells nl in
-  (* reverse topological order converges in one sweep on acyclic
-     netlists; observability only grows, so sweeping to a fixpoint is
-     a terminating least-fixpoint computation on cyclic ones (and
-     through sequential feedback, where state influence counts) *)
-  let order =
-    match N.topo_order nl with
-    | o ->
-        let m = Array.length o in
-        Array.init m (fun i -> o.(m - 1 - i))
-    | exception Failure _ -> Array.init (Array.length cells) (fun i -> i)
-  in
-  let sweep () =
-    let changed = ref false in
-    Array.iter
-      (fun ci ->
-        let c = cells.(ci) in
-        if observable.(c.Cell.out) then
-          Array.iteri
-            (fun i net ->
-              if (not (input_masked values c i)) && mark net then
-                changed := true)
-            c.Cell.ins)
-      order;
-    !changed
-  in
-  (* no round cap: every sweep that reports a change marked at least
-     one new net, so the loop runs at most [n] sweeps — and on acyclic
-     netlists the reverse topological order converges after the sweeps
-     needed to cross sequential boundaries *)
-  let changed = ref true in
-  while !changed do
-    changed := sweep ()
+  Array.iter mark (N.output_nets nl);
+  (* observability only grows and every net enters the worklist once,
+     so this reaches the least fixpoint in linear time, on cyclic
+     netlists and through sequential feedback (state influence counts)
+     alike *)
+  while !sp > 0 do
+    decr sp;
+    let net = stack.(!sp) in
+    for k = dstart.(net) to dstart.(net + 1) - 1 do
+      let ci = drv.(k) in
+      let ins = cells.(ci).Cell.ins in
+      for i = 0 to Array.length ins - 1 do
+        if not (masked masks ~cell:ci i) then mark ins.(i)
+      done
+    done
   done;
   (* diagnostics over the final fixpoint *)
-  Array.iter
-    (fun (c : Cell.t) ->
+  let masked_reads = ref 0 in
+  Array.iteri
+    (fun ci (c : Cell.t) ->
       if observable.(c.Cell.out) then
-        Array.iteri
-          (fun i _ -> if input_masked values c i then incr masked_reads)
-          c.Cell.ins)
+        for i = 0 to Array.length c.Cell.ins - 1 do
+          if masked masks ~cell:ci i then incr masked_reads
+        done)
     cells;
+  let const_cuts = ref 0 in
   for net = 0 to n - 1 do
     if Dataflow.known values.(net) <> None then incr const_cuts
   done;

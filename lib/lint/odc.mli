@@ -21,9 +21,14 @@
     - any read by a cell whose output is a proven constant.
 
     Proven-constant nets are never observable (they carry no toggle).
-    Sequential cells pass observability through (state influence
-    counts), and cyclic netlists converge by a monotone least-fixpoint
-    iteration.
+
+    Each read's verdict is judged once, up front, into the shared
+    {!read_masks} table that the key-taint propagation reads too. The
+    propagation itself is a worklist: when a net becomes observable,
+    every cell driving it (all of them, on a multi-driven net) marks its
+    unmasked inputs. Each net enters the worklist once, so the least
+    fixpoint is reached in time linear in the reads, on cyclic netlists
+    and through sequential cells (state influence counts) alike.
 
     Observable implies live: the analysis refines
     {!Dataflow.cones.live} with strictly more cuts. *)
@@ -40,9 +45,27 @@ val input_masked :
   Dataflow.value array -> Shell_netlist.Cell.t -> int -> bool
 (** [input_masked values c i]: the read of input position [i] of [c]
     is provably masked under the constant facts — toggling that input
-    alone can never change [c]'s output. Shared with the key-taint
-    propagation, which skips masked reads. *)
+    alone can never change [c]'s output. The single-read specification
+    of {!read_masks}. *)
 
-val analyze : ?values:Dataflow.value array -> Shell_netlist.Netlist.t -> t
+type masks
+(** One {!input_masked} verdict per (cell, input position) read,
+    stored as flat bytes with per-cell offsets. *)
+
+val read_masks : Dataflow.value array -> Shell_netlist.Netlist.t -> masks
+(** Judge every read of every cell once under the given constant
+    facts. A LUT builds its residual table once for all of its inputs.
+    Agrees with {!input_masked} on every read. *)
+
+val masked : masks -> cell:int -> int -> bool
+(** [masked m ~cell i]: the read of input position [i] of cell index
+    [cell] is masked. *)
+
+val analyze :
+  ?values:Dataflow.value array ->
+  ?masks:masks ->
+  Shell_netlist.Netlist.t ->
+  t
 (** Run the analysis; [~values] defaults to {!Dataflow.const_values}
-    (pass the context's facts to avoid recomputing them). *)
+    and [~masks] to {!read_masks} over those values (pass the context's
+    facts to avoid recomputing them). *)

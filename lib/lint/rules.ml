@@ -1,7 +1,6 @@
 module N = Shell_netlist.Netlist
 module Cell = Shell_netlist.Cell
 module Truthtab = Shell_util.Truthtab
-module Diag = Shell_util.Diag
 module Fabric = Shell_fabric.Fabric
 module Bitstream = Shell_fabric.Bitstream
 module Resources = Shell_fabric.Resources
@@ -17,20 +16,13 @@ let rule name pack severity help check =
   in
   r
 
-let invalids ctx =
-  N.validate_all ctx.subj.netlist
-  |> List.filter_map (fun d ->
-         match d.Diag.payload with
-         | N.Invalid iv -> Some (iv, d.Diag.message)
-         | _ -> None)
-
 (* ---------------- structural pack ---------------- *)
 
 let port_invalid =
   rule "port-invalid" Structural Error
     "a port names an out-of-range net or duplicates another port's name"
     (fun r ctx ->
-      invalids ctx
+      ctx.invalid
       |> List.filter_map (fun (iv, msg) ->
              match iv with
              | N.Bad_net_id { port; _ } | N.Duplicate_port { port } ->
@@ -40,7 +32,7 @@ let port_invalid =
 let net_multi_driven =
   rule "net-multi-driven" Structural Error
     "a net is driven by more than one source" (fun r ctx ->
-      invalids ctx
+      ctx.invalid
       |> List.filter_map (fun (iv, msg) ->
              match iv with
              | N.Multiple_drivers { net; _ } ->
@@ -50,7 +42,7 @@ let net_multi_driven =
 let net_undriven =
   rule "net-undriven" Structural Error
     "an output or a cell input reads a floating net" (fun r ctx ->
-      invalids ctx
+      ctx.invalid
       |> List.filter_map (fun (iv, msg) ->
              match iv with
              | N.Undriven_output { port; _ } ->
@@ -68,13 +60,15 @@ let comb_cycle =
   rule "comb-cycle" Structural Error
     "the combinational part contains a cycle (unsynthesizable feedback)"
     (fun r ctx ->
-      Dataflow.comb_sccs ctx.subj.netlist
-      |> List.map (fun scc ->
-             finding r
-               ~where:(Printf.sprintf "cell:%d" (List.hd scc))
-               "combinational cycle through %d cell%s: %s" (List.length scc)
-               (if List.length scc = 1 then "" else "s")
-               (pp_cells scc)))
+      if ctx.acyclic then []
+      else
+        Dataflow.comb_sccs ctx.subj.netlist
+        |> List.map (fun scc ->
+               finding r
+                 ~where:(Printf.sprintf "cell:%d" (List.hd scc))
+                 "combinational cycle through %d cell%s: %s" (List.length scc)
+                 (if List.length scc = 1 then "" else "s")
+                 (pp_cells scc)))
 
 let cell_dead =
   rule "cell-dead" Structural Warn
@@ -219,7 +213,12 @@ let key_taint_collapse =
       else
         N.outputs ctx.subj.netlist
         |> List.filter_map (fun (nm, net) ->
-               if Taint.is_empty ctx.taint net then
+               if
+                 not
+                   (net >= 0
+                   && net < Array.length ctx.key_reach
+                   && ctx.key_reach.(net))
+               then
                  Some
                    (finding r ~where:("output:" ^ nm)
                       "no key bit can functionally reach output %s: its \
@@ -256,24 +255,33 @@ let mux_chain_cycle =
   rule "mux-chain-cycle" Security Error
     "MUX cells form a cycle, violating the non-cyclic ROUTE-chain mapping"
     (fun r ctx ->
-      Dataflow.mux_sccs ctx.subj.netlist
-      |> List.map (fun scc ->
-             finding r
-               ~where:(Printf.sprintf "cell:%d" (List.hd scc))
-               "cyclic MUX chain through %d cell%s: %s (the paper's ROUTE \
-                mapping requires non-cyclical chains)"
-               (List.length scc)
-               (if List.length scc = 1 then "" else "s")
-               (pp_cells scc)))
+      (* the mux graph is a subgraph of the combinational one *)
+      if ctx.acyclic then []
+      else
+        Dataflow.mux_sccs ctx.subj.netlist
+        |> List.map (fun scc ->
+               finding r
+                 ~where:(Printf.sprintf "cell:%d" (List.hd scc))
+                 "cyclic MUX chain through %d cell%s: %s (the paper's ROUTE \
+                  mapping requires non-cyclical chains)"
+                 (List.length scc)
+                 (if List.length scc = 1 then "" else "s")
+                 (pp_cells scc)))
+
+(* [pat] occurs in [s] at or after [i], compared in place: no
+   substring copies and no closures, since [lgc-depth] asks this of
+   every cell of the design *)
+let rec matches_at s pat i j =
+  j = String.length pat || (s.[i + j] = pat.[j] && matches_at s pat i (j + 1))
+
+let rec occurs_from s pat i =
+  i + String.length pat <= String.length s
+  && (matches_at s pat i 0 || occurs_from s pat (i + 1))
+
+let contains s pat = String.length pat > 0 && occurs_from s pat 0
 
 let origin_matches pats (c : Cell.t) =
-  List.exists
-    (fun pat ->
-      let s = c.Cell.origin and m = String.length pat in
-      let n = String.length s in
-      let rec go i = i + m <= n && (String.sub s i m = pat || go (i + 1)) in
-      m > 0 && go 0)
-    pats
+  List.exists (contains c.Cell.origin) pats
 
 let lgc_depth =
   rule "lgc-depth" Security Warn

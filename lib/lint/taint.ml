@@ -4,7 +4,8 @@ module Cell = Shell_netlist.Cell
 (* Forward key-influence taint: per net, the bitset of key bits that
    can still functionally reach it. The lattice is (2^K, union) per
    net; propagation is monotone, so sweeping to the least fixpoint
-   terminates (and handles sequential feedback and cycles).
+   terminates (and handles sequential feedback and cycles). [reached]
+   is its union projection: a one-bit worklist.
 
    Refinement over the plain structural cone comes from the constant
    and ODC facts: a proven-constant net carries no influence (its
@@ -47,10 +48,16 @@ let net_taint t net =
 
 let count t net = List.length (net_taint t net)
 
-let analyze ?values nl =
+let defaults ?values ?masks nl =
   let values =
     match values with Some v -> v | None -> Dataflow.const_values nl
   in
+  let masks =
+    match masks with Some m -> m | None -> Odc.read_masks values nl
+  in
+  (values, masks)
+
+let analyze ?values ?masks nl =
   let n = N.num_nets nl in
   let keys = N.keys nl in
   let nkeys = List.length keys in
@@ -59,6 +66,7 @@ let analyze ?values nl =
   let t = { nkeys; w; words } in
   if nkeys = 0 || n = 0 then t
   else begin
+    let values, masks = defaults ?values ?masks nl in
     List.iteri
       (fun b (_, net) ->
         if net >= 0 && net < n then
@@ -81,7 +89,7 @@ let analyze ?values nl =
           if Dataflow.known values.(out) = None then
             Array.iteri
               (fun i net ->
-                if not (Odc.input_masked values c i) then
+                if not (Odc.masked masks ~cell:ci i) then
                   for j = 0 to w - 1 do
                     let s = words.((net * w) + j) in
                     let d = words.((out * w) + j) in
@@ -103,6 +111,62 @@ let analyze ?values nl =
     done;
     t
   end
+
+let reached ?values ?masks nl =
+  let n = N.num_nets nl in
+  let keys = N.keys nl in
+  let reached = Array.make (max n 1) false in
+  if keys <> [] && n > 0 then begin
+    let values, masks = defaults ?values ?masks nl in
+    let cells = N.cells nl in
+    (* every read of every net: [(rcell.(k), rpos.(k))] for [k] from
+       [rstart.(net)] to [rstart.(net + 1) - 1] *)
+    let rstart = Array.make (n + 1) 0 in
+    Array.iter
+      (fun (c : Cell.t) ->
+        Array.iter (fun net -> rstart.(net + 1) <- rstart.(net + 1) + 1) c.Cell.ins)
+      cells;
+    for net = 1 to n do
+      rstart.(net) <- rstart.(net) + rstart.(net - 1)
+    done;
+    let fill = Array.sub rstart 0 n in
+    let rcell = Array.make rstart.(n) 0 and rpos = Array.make rstart.(n) 0 in
+    Array.iteri
+      (fun ci (c : Cell.t) ->
+        for i = 0 to Array.length c.Cell.ins - 1 do
+          let net = c.Cell.ins.(i) in
+          rcell.(fill.(net)) <- ci;
+          rpos.(fill.(net)) <- i;
+          fill.(net) <- fill.(net) + 1
+        done)
+      cells;
+    (* one bit per net, so each net enters the worklist once *)
+    let stack = Array.make n 0 in
+    let sp = ref 0 in
+    let mark net =
+      if not reached.(net) then begin
+        reached.(net) <- true;
+        stack.(!sp) <- net;
+        incr sp
+      end
+    in
+    List.iter (fun (_, net) -> if net >= 0 && net < n then mark net) keys;
+    while !sp > 0 do
+      decr sp;
+      let net = stack.(!sp) in
+      for k = rstart.(net) to rstart.(net + 1) - 1 do
+        let ci = rcell.(k) in
+        let out = cells.(ci).Cell.out in
+        (* a masked read steers nothing; a proven-constant output
+           carries no key influence *)
+        match values.(out) with
+        | Dataflow.Unknown when not (Odc.masked masks ~cell:ci rpos.(k)) ->
+            mark out
+        | _ -> ()
+      done
+    done
+  end;
+  reached
 
 let output_taints t nl =
   List.map (fun (nm, net) -> (nm, net_taint t net)) (N.outputs nl)

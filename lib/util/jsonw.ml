@@ -115,8 +115,12 @@ let of_string src =
       incr pos
     done
   in
+  let eof () =
+    raise (Bad (Printf.sprintf "unexpected end of input at byte %d" !pos))
+  in
   let expect c =
     if !pos < n && src.[!pos] = c then incr pos
+    else if !pos >= n then eof ()
     else raise (Bad (Printf.sprintf "expected %C at %d" c !pos))
   in
   let lit s v =
@@ -203,7 +207,7 @@ let of_string src =
   let rec value () =
     skip_ws ();
     match peek () with
-    | None -> raise (Bad "empty input")
+    | None -> eof ()
     | Some '"' -> Str (string_body ())
     | Some 'n' -> lit "null" Null
     | Some 't' -> lit "true" (Bool true)
@@ -253,12 +257,15 @@ let of_string src =
         end
     | Some _ -> number ()
   in
-  match value () with
-  | v ->
-      skip_ws ();
-      if !pos <> n then Error (Printf.sprintf "trailing input at %d" !pos)
-      else Ok v
-  | exception Bad m -> Error m
+  skip_ws ();
+  if !pos = n then Error "empty input"
+  else
+    match value () with
+    | v ->
+        skip_ws ();
+        if !pos <> n then Error (Printf.sprintf "trailing input at %d" !pos)
+        else Ok v
+    | exception Bad m -> Error m
 
 (* ---------------- framing ---------------- *)
 

@@ -37,7 +37,10 @@ val of_string : string -> (t, string) result
 (** Minimal strict parser, the round-trip partner of {!to_string}:
     numbers are kept as [Num] literals verbatim, [\uXXXX] escapes are
     decoded to UTF-8 (surrogate pairs combine into one astral code
-    point; lone surrogates and bad hex digits are parse errors). *)
+    point; lone surrogates and bad hex digits are parse errors).
+    Input that is all whitespace is ["empty input"]; a document cut
+    short (["["], ["[1,"], [{"a":]) is
+    ["unexpected end of input at byte N"], [N] being its length. *)
 
 (** {1 Framing}
 

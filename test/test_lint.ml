@@ -410,6 +410,251 @@ let test_odc_taint_vs_simw () =
         odc.Odc.observable.(knet))
     (N.keys m6)
 
+(* ---------------- golden flow lint + ODC ---------------- *)
+
+module Jobs = Shell_serve.Jobs
+
+(* Flow.run with each bundled design's SheLL TfR at the default seed,
+   recorded before the dataflow rewrite: MD5 of the flow's lint report
+   JSON, and the ODC result on the linted (locked) netlist as
+   (masked_reads, const_cuts, MD5 of observable as a 0/1 string) *)
+let golden_flow_lint =
+  [
+    (("PicoSoC", "openfpga"), "900045c107ec9dfd844bf68f89813cc8", (0, 139, "8be2750c5acfaa647748bd5868fdaa84"));
+    (("PicoSoC", "fabulous"), "462494d403eabf2327be037e590dbc0a", (0, 139, "487c1509ebd04f875dc8b583d3b13087"));
+    (("PicoSoC", "muxchain"), "462494d403eabf2327be037e590dbc0a", (0, 139, "d5feb679ccf969ed6807eca7116b231f"));
+    (("AES", "openfpga"), "538e19ff089bb874c5c29d83e81e08a0", (0, 5182, "e36a4b416d3271b668cedf898a745598"));
+    (("AES", "fabulous"), "db072cb6d78e21b8458d3a150fbfa7c7", (0, 5182, "98b9581f6387b21ce2ccb0da706c2462"));
+    (("AES", "muxchain"), "db072cb6d78e21b8458d3a150fbfa7c7", (0, 5182, "16cf58f34feaefff5924bc05fd2fc348"));
+    (("FIR", "openfpga"), "bd43dc5bce4634a0787507573fbcd9f9", (1128, 4120, "3f16d7efe30899ddbd0a29b6d2f33936"));
+    (("FIR", "fabulous"), "c63e4f0c448f8f275196910dd6690545", (1128, 4120, "2344356191b71c2f206fb1854dc3997e"));
+    (("FIR", "muxchain"), "c63e4f0c448f8f275196910dd6690545", (1128, 4120, "2344356191b71c2f206fb1854dc3997e"));
+    (("SPMV", "openfpga"), "3c9037c3fdc7a660a4f10c4d9783a255", (0, 1931, "fb8d6c530f688d48d7c371b2e430180a"));
+    (("SPMV", "fabulous"), "2471651939065b0da5f68d26200eab78", (0, 1931, "6ecb1f4122e59f516e7fa6d43fa04dab"));
+    (("SPMV", "muxchain"), "2471651939065b0da5f68d26200eab78", (0, 1931, "d0c11692274aa3f2b044c423b4ade783"));
+    (("DLA", "openfpga"), "6279284ea373a03ea86e592418023967", (0, 2678, "a9388b55d73080b55f4aa3a36029d97a"));
+    (("DLA", "fabulous"), "eaee2a260a5b616a503c18b9c17711aa", (0, 2678, "0f6e942ca12422aecf2b1d9eb06bb477"));
+    (("DLA", "muxchain"), "eaee2a260a5b616a503c18b9c17711aa", (0, 2678, "c92450f7d045df000316a9665503111a"));
+    (("SoC", "openfpga"), "962c44b58e9cbfb4e312407b63546aad", (0, 23, "a7544d1dab365c46426a38157160c719"));
+    (("SoC", "fabulous"), "5692572091c9a594e1042211bc8ef5e4", (0, 23, "fb0eb64190c1f4e7c1390d87ad5a8d66"));
+    (("SoC", "muxchain"), "5692572091c9a594e1042211bc8ef5e4", (0, 23, "acf3c535eac6c0deaa269f24fed15f69"));
+    (("Xbar", "openfpga"), "2864206b16149f155512a179b08cca30", (0, 193, "0d09bff6f35d293d9d0a2a08a03a711d"));
+    (("Xbar", "fabulous"), "b457a3c71a6dfc056ffaf2e6e7e7e37a", (0, 193, "b764976e293598b87c1cb39c42c96cf7"));
+    (("Xbar", "muxchain"), "b457a3c71a6dfc056ffaf2e6e7e7e37a", (0, 193, "f36ffb451a23f2c5768e0356c02bd121"));
+  ]
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+let flow_lock bench style =
+  let nl = match Jobs.netlist_of_bench bench with Ok n -> n | Error _ -> assert false in
+  let route, lgc, label = Option.get (Jobs.default_tfr bench) in
+  let style = match Jobs.style_of_string style with Ok s -> s | Error _ -> assert false in
+  C.Flow.run
+    { (C.Flow.shell_config ~target:(C.Flow.Fixed { route; lgc; label }) ()) with C.Flow.style }
+    nl
+
+let bits_string a = String.init (Array.length a) (fun i -> if a.(i) then '1' else '0')
+
+(* the 21 flow locks, shared by the golden and property tests *)
+let flow_locks =
+  lazy
+    (List.map
+       (fun ((bench, style), _, _) -> (bench ^ "/" ^ style, flow_lock bench style))
+       golden_flow_lint)
+
+let test_golden_flow_lint () =
+  List.iter2
+    (fun (_, want_lint, (want_masked, want_cuts, want_obs)) (what, r) ->
+      Alcotest.(check string) (what ^ " lint json") want_lint
+        (md5 (Jsonw.to_string (Lint.report_json r.C.Flow.lint)));
+      let locked = r.C.Flow.locked_full in
+      let o = Odc.analyze ~values:(Dataflow.const_values locked) locked in
+      Alcotest.(check (triple int int string)) (what ^ " odc")
+        (want_masked, want_cuts, want_obs)
+        (o.Odc.masked_reads, o.Odc.const_cuts, md5 (bits_string o.Odc.observable)))
+    golden_flow_lint (Lazy.force flow_locks)
+
+(* ---------------- dataflow properties ---------------- *)
+
+(* combinational loop through a mux, an AND and a LUT; the key enters
+   the loop, and a constant pins one LUT input *)
+let cyclic_fixture () =
+  let nl = N.create "cyclic" in
+  let a = N.add_input nl "a" in
+  let k0 = N.add_key nl "k0" in
+  let k1 = N.add_key nl "k1" in
+  let q = N.new_net nl in
+  let m = N.mux2 nl ~sel:k0 ~a ~b:q in
+  let g = N.and_ nl m k1 in
+  let one = N.const nl true in
+  N.add_cell nl
+    (Cell.make (Cell.Lut (Truthtab.of_fun ~arity:2 (fun v -> v.(0) && v.(1))))
+       [| g; one |] q);
+  N.add_output nl "y" q;
+  nl
+
+(* net [x] is driven twice: by NOT(a), then by BUF(k). Both drivers
+   carry observability back from the output, not only the last one *)
+let multi_driven_fixture () =
+  let nl = N.create "multi" in
+  let a = N.add_input nl "a" in
+  let k = N.add_key nl "k" in
+  let b = N.add_input nl "b" in
+  let x = N.not_ nl a in
+  N.add_cell nl (Cell.make Cell.Buf [| k |] x);
+  N.add_output nl "y" (N.and_ nl x b);
+  nl
+
+(* Random netlists with combinational cycles (nets read before they
+   are driven), multi-driven nets, constants, keys, LUTs and flops. *)
+let random_netlist seed =
+  let st = Random.State.make [| seed |] in
+  let int = Random.State.int st in
+  let nl = N.create (Printf.sprintf "rand%d" seed) in
+  let nets = ref [] in
+  let add net = nets := net :: !nets in
+  for i = 0 to int 3 do
+    add (N.add_input nl (Printf.sprintf "i%d" i))
+  done;
+  for i = 0 to int 4 - 1 do
+    add (N.add_key nl (Printf.sprintf "k%d" i))
+  done;
+  add (N.const nl false);
+  add (N.const nl true);
+  let forward = List.init (int 3) (fun _ -> N.new_net nl) in
+  List.iter add forward;
+  let pick () = List.nth !nets (int (List.length !nets)) in
+  let random_cell out =
+    let kind =
+      match int 12 with
+      | 0 -> Cell.And
+      | 1 -> Cell.Or
+      | 2 -> Cell.Nand
+      | 3 -> Cell.Nor
+      | 4 -> Cell.Xor
+      | 5 -> Cell.Xnor
+      | 6 -> Cell.Not
+      | 7 -> Cell.Buf
+      | 8 -> Cell.Mux2
+      | 9 -> Cell.Mux4
+      | 10 ->
+          let arity = 1 + int 4 in
+          let bits = Random.State.bits st in
+          Cell.Lut
+            (Truthtab.of_fun ~arity (fun v ->
+                 let row = ref 0 in
+                 Array.iteri (fun i b -> if b then row := !row lor (1 lsl i)) v;
+                 (bits lsr !row) land 1 = 1))
+      | _ -> Cell.Dff
+    in
+    N.add_cell nl (Cell.make kind (Array.init (Cell.arity kind) (fun _ -> pick ())) out)
+  in
+  for _ = 1 to 6 + int 18 do
+    let out = if int 8 = 0 then pick () else N.new_net nl in
+    random_cell out;
+    add out
+  done;
+  List.iter random_cell forward;
+  for o = 0 to int 3 do
+    N.add_output nl (Printf.sprintf "o%d" o) (pick ())
+  done;
+  nl
+
+(* the corpus: the 21 flow locks, the two fixtures, 200 random netlists *)
+let dataflow_corpus () =
+  List.map (fun (_, r) -> r.C.Flow.locked_full) (Lazy.force flow_locks)
+  @ [ cyclic_fixture (); multi_driven_fixture () ]
+  @ List.init 200 random_netlist
+
+(* the ODC specification: sweep every cell until nothing changes *)
+let reference_odc values nl =
+  let n = N.num_nets nl in
+  let obs = Array.make (max n 1) false in
+  let mark net =
+    net >= 0 && net < n
+    && (not obs.(net))
+    && Dataflow.known values.(net) = None
+    && (obs.(net) <- true; true)
+  in
+  Array.iter (fun net -> ignore (mark net)) (N.output_nets nl);
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    Array.iter
+      (fun (c : Cell.t) ->
+        if obs.(c.Cell.out) then
+          Array.iteri
+            (fun i net ->
+              if (not (Odc.input_masked values c i)) && mark net then
+                changed := true)
+            c.Cell.ins)
+      (N.cells nl)
+  done;
+  let masked = ref 0 in
+  Array.iter
+    (fun (c : Cell.t) ->
+      if obs.(c.Cell.out) then
+        Array.iteri
+          (fun i _ -> if Odc.input_masked values c i then incr masked)
+          c.Cell.ins)
+    (N.cells nl);
+  (obs, !masked)
+
+let test_read_masks_agree () =
+  List.iter
+    (fun nl ->
+      let values = Dataflow.const_values nl in
+      let m = Odc.read_masks values nl in
+      Array.iteri
+        (fun ci (c : Cell.t) ->
+          Array.iteri
+            (fun i _ ->
+              if Odc.masked m ~cell:ci i <> Odc.input_masked values c i then
+                Alcotest.failf "%s: cell %d input %d mask differs" (N.name nl)
+                  ci i)
+            c.Cell.ins)
+        (N.cells nl))
+    (dataflow_corpus ())
+
+let test_odc_fixpoint () =
+  List.iter
+    (fun nl ->
+      let values = Dataflow.const_values nl in
+      let o = Odc.analyze ~values nl in
+      let obs, masked = reference_odc values nl in
+      Alcotest.(check string) (N.name nl ^ " observable") (bits_string obs)
+        (bits_string o.Odc.observable);
+      Alcotest.(check int) (N.name nl ^ " masked_reads") masked o.Odc.masked_reads)
+    (dataflow_corpus ());
+  (* the fixtures, by hand *)
+  let observable nl name =
+    let net =
+      List.assoc name (N.inputs nl @ N.keys nl)
+    in
+    (Odc.analyze nl).Odc.observable.(net)
+  in
+  let multi = multi_driven_fixture () in
+  Alcotest.(check (list bool)) "both drivers of a multi-driven net"
+    [ true; true; true ]
+    (List.map (observable multi) [ "a"; "k"; "b" ]);
+  let cyc = cyclic_fixture () in
+  Alcotest.(check (list bool)) "cyclic fixture" [ true; true; true ]
+    (List.map (observable cyc) [ "a"; "k0"; "k1" ])
+
+let test_key_reach_projection () =
+  List.iter
+    (fun nl ->
+      let values = Dataflow.const_values nl in
+      let t = Taint.analyze ~values nl in
+      let reached = Taint.reached ~values nl in
+      for net = 0 to N.num_nets nl - 1 do
+        if reached.(net) = Taint.is_empty t net then
+          Alcotest.failf "%s: net %d reached=%b but taint %s" (N.name nl) net
+            reached.(net)
+            (String.concat "," (List.map string_of_int (Taint.net_taint t net)))
+      done)
+    (dataflow_corpus ())
+
 (* ---------------- engine ---------------- *)
 
 (* a fixture that trips rules of all three severities *)
@@ -525,6 +770,13 @@ let suite =
     Alcotest.test_case "scope-leak" `Quick test_scope_leak;
     Alcotest.test_case "odc+taint vs Simw brute force" `Quick
       test_odc_taint_vs_simw;
+    Alcotest.test_case "golden flow lint and odc" `Quick test_golden_flow_lint;
+    Alcotest.test_case "read masks agree with input_masked" `Quick
+      test_read_masks_agree;
+    Alcotest.test_case "worklist odc is the sweep fixpoint" `Quick
+      test_odc_fixpoint;
+    Alcotest.test_case "key reach is the taint union" `Quick
+      test_key_reach_projection;
     Alcotest.test_case "mux-chain-cycle" `Quick test_mux_chain_cycle;
     Alcotest.test_case "lgc-depth" `Quick test_lgc_depth;
     Alcotest.test_case "ref-mismatch" `Quick test_ref_mismatch;

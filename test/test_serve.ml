@@ -189,6 +189,15 @@ let test_protocol_rejects () =
   (match P.request_of_frame "{oops" with
   | Ok _ -> Alcotest.fail "malformed JSON accepted"
   | Error _ -> ());
+  (* a frame cut short, here just after its last key, names where the
+     document ends *)
+  (let body = unframe (P.request_frame (List.hd sample_requests)) in
+   let cut = String.rindex body ':' + 1 in
+   match P.request_of_frame (String.sub body 0 cut) with
+   | Ok _ -> Alcotest.fail "truncated frame accepted"
+   | Error e ->
+       Alcotest.(check string) "truncated frame"
+         (Printf.sprintf "unexpected end of input at byte %d" cut) e);
   (* a foreign protocol version gets one clean error *)
   (match P.request_of_frame "{\"v\":2,\"type\":\"ping\",\"id\":1}" with
   | Ok _ -> Alcotest.fail "foreign version accepted"

@@ -229,6 +229,21 @@ let test_jsonw_lone_surrogate () =
   rejects "high then non-low escape" "\"\\ud83d\\u0041\"";
   rejects "bad hex digits" "\"\\uZZZZ\""
 
+let test_jsonw_truncated () =
+  let err input =
+    match J.of_string input with
+    | Ok _ -> Alcotest.failf "%S: accepted a truncated document" input
+    | Error e -> e
+  in
+  Alcotest.(check string) "open array" "unexpected end of input at byte 1"
+    (err "[");
+  Alcotest.(check string) "array after a comma"
+    "unexpected end of input at byte 3" (err "[1,");
+  Alcotest.(check string) "object after a colon"
+    "unexpected end of input at byte 5" (err "{\"a\":");
+  Alcotest.(check string) "blank" "empty input" (err " \n\t");
+  Alcotest.(check string) "nothing" "empty input" (err "")
+
 let test_rng_child_stable () =
   let t = Rng.create 42 in
   let a = Rng.child t 3 and b = Rng.child t 3 in
@@ -360,4 +375,5 @@ let suite =
     ("jsonw float specials", `Quick, test_jsonw_float_special);
     ("jsonw surrogate pair", `Quick, test_jsonw_surrogate_pair);
     ("jsonw lone surrogate rejected", `Quick, test_jsonw_lone_surrogate);
+    ("jsonw truncated documents", `Quick, test_jsonw_truncated);
   ]
