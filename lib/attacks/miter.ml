@@ -4,42 +4,49 @@ module Solver = Shell_sat.Solver
 
 type t = {
   solver : Solver.t;
-  comb : Netlist.t;
-  base : Cnf.t;  (* encoding template for fresh copies *)
+  template : int array array;  (* [Cnf.encode] clauses of one copy *)
+  copy_vars : int;  (* variables one copy takes *)
+  ins : int array;  (* template variables of the inputs / outputs / keys *)
+  outs : int array;
+  keys : int array;
   in1 : int array;  (* shared input vars (copy 1's) *)
   key1 : int array;
   key2 : int array;
   diff : int;  (* activation literal for the difference constraint *)
-  mutable base_clauses : int;
-  mutable base_vars : int;
+  base_clauses : int;
+  base_vars : int;
 }
 
-let add_copy solver base =
-  (* fresh variables for one more circuit copy *)
+(* One more circuit copy on fresh variables: every template clause goes
+   through the solver's level-0 simplification shifted by the copy's
+   offset, which is returned. *)
+let add_copy solver template copy_vars =
   let off = Solver.num_vars solver in
-  let shifted = Cnf.offset base off in
-  Solver.ensure_vars solver shifted.Cnf.nvars;
-  List.iter (Solver.add_clause solver) shifted.Cnf.clauses;
-  shifted
+  Solver.ensure_vars solver (off + copy_vars);
+  Array.iter (Solver.add_shifted solver ~shift:off) template;
+  off
 
-let vars_of cnf nets = Array.map (fun n -> cnf.Cnf.var_of_net.(n)) nets
+let shift off vars = Array.map (fun v -> v + off) vars
 
 let create ?(cycle_blocks = []) ?(seed = 0) locked =
   let comb = Netlist.comb_view locked in
   let base = Cnf.encode comb in
+  let template = Array.of_list (List.map Array.of_list base.Cnf.clauses) in
+  let copy_vars = base.Cnf.nvars in
+  let vars nets = Array.map (fun n -> base.Cnf.var_of_net.(n)) nets in
+  let ins = vars (Netlist.input_nets comb) in
+  let keys = vars (Netlist.key_nets comb) in
+  let outs = vars (Netlist.output_nets comb) in
   let solver = Solver.create ~seed () in
-  let c1 = add_copy solver base in
-  let c2 = add_copy solver base in
-  let ins = Netlist.input_nets comb in
-  let keys = Netlist.key_nets comb in
-  let outs = Netlist.output_nets comb in
-  let in1 = vars_of c1 ins and in2 = vars_of c2 ins in
+  let c1 = add_copy solver template copy_vars in
+  let c2 = add_copy solver template copy_vars in
+  let in1 = shift c1 ins and in2 = shift c2 ins in
   Array.iteri
     (fun i v1 ->
       List.iter (Solver.add_clause solver) (Cnf.equal_clauses v1 in2.(i)))
     in1;
-  let key1 = vars_of c1 keys and key2 = vars_of c2 keys in
-  let out1 = vars_of c1 outs and out2 = vars_of c2 outs in
+  let key1 = shift c1 keys and key2 = shift c2 keys in
+  let out1 = shift c1 outs and out2 = shift c2 outs in
   (* diff literal and per-output xor indicators *)
   let diff = Solver.new_var solver in
   let xors =
@@ -69,14 +76,17 @@ let create ?(cycle_blocks = []) ?(seed = 0) locked =
     cycle_blocks;
   {
     solver;
-    comb;
-    base;
+    template;
+    copy_vars;
+    ins;
+    outs;
+    keys;
     in1;
     key1;
     key2;
     diff;
     base_clauses =
-      (2 * List.length base.Cnf.clauses)
+      (2 * Array.length template)
       + (2 * Array.length in1)
       + (4 * Array.length out1)
       + 1;
@@ -94,28 +104,27 @@ let find_dip ?max_conflicts t =
   | Solver.Unknown -> `Budget
 
 let add_dip t input output =
-  let bind cnf nets values =
+  let bind off vars values =
     Array.iteri
-      (fun i net ->
-        let v = cnf.Cnf.var_of_net.(net) in
+      (fun i v ->
+        let v = v + off in
         Solver.add_clause t.solver [ (if values.(i) then v else -v) ])
-      nets
+      vars
   in
-  let tie cnf key_vars =
+  let tie off key_vars =
     Array.iteri
-      (fun i net ->
-        let v = cnf.Cnf.var_of_net.(net) in
-        List.iter (Solver.add_clause t.solver) (Cnf.equal_clauses v key_vars.(i)))
-      (Netlist.key_nets t.comb)
+      (fun i v ->
+        List.iter (Solver.add_clause t.solver) (Cnf.equal_clauses (v + off) key_vars.(i)))
+      t.keys
   in
-  let copy_a = add_copy t.solver t.base in
-  bind copy_a (Netlist.input_nets t.comb) input;
-  bind copy_a (Netlist.output_nets t.comb) output;
-  tie copy_a t.key1;
-  let copy_b = add_copy t.solver t.base in
-  bind copy_b (Netlist.input_nets t.comb) input;
-  bind copy_b (Netlist.output_nets t.comb) output;
-  tie copy_b t.key2
+  let copy key_vars =
+    let off = add_copy t.solver t.template t.copy_vars in
+    bind off t.ins input;
+    bind off t.outs output;
+    tie off key_vars
+  in
+  copy t.key1;
+  copy t.key2
 
 let extract_key ?max_conflicts t =
   match Solver.solve ~assumptions:[ -t.diff ] ?max_conflicts t.solver with

@@ -85,13 +85,6 @@ let encode nl =
   in
   { nvars = n; clauses; var_of_net }
 
-let offset t k =
-  {
-    nvars = t.nvars + k;
-    clauses = List.map (List.map (fun l -> if l > 0 then l + k else l - k)) t.clauses;
-    var_of_net = Array.map (fun v -> v + k) t.var_of_net;
-  }
-
 let equal_clauses a b = [ [ -a; b ]; [ a; -b ] ]
 
 let xor_var ~fresh a b =

@@ -23,11 +23,9 @@ val lit : t -> int -> bool -> int
 (** {1 Growing an encoding}
 
     The SAT attack conjoins several circuit copies plus comparison
-    logic. [offset] shifts an encoding's variables so two copies do not
-    collide; [equal_clauses]/[xor_clauses] wire nets together. *)
-
-val offset : t -> int -> t
-(** [offset t k] adds [k] to every variable. *)
+    logic. Each copy is the same clause list with its variables shifted
+    past the previous copy's (the solver takes the shift as it adds a
+    clause); [equal_clauses]/[xor_var] wire nets together. *)
 
 val equal_clauses : int -> int -> int list list
 (** [equal_clauses a b]: variable [a] equals variable [b]. *)

@@ -1,40 +1,70 @@
 type problem = { nvars : int; clauses : int list list }
 
+type reason = Bad_header | Bad_literal | Missing_header
+type error = { line : int; token : string; reason : reason }
+
+let error_to_string e =
+  let what =
+    match e.reason with
+    | Bad_header -> "bad header"
+    | Bad_literal -> "bad literal"
+    | Missing_header -> "missing p cnf header"
+  in
+  Printf.sprintf "Dimacs.parse: line %d: %s %S" e.line what e.token
+
+exception Parse_error of error
+
+let fail line token reason = raise (Parse_error { line; token; reason })
+let tokens line = String.split_on_char ' ' line |> List.filter (( <> ) "")
+
 let parse src =
-  let lines = String.split_on_char '\n' src in
   let nvars = ref 0 in
   let clauses = ref [] in
   let current = ref [] in
   let header_seen = ref false in
-  List.iter
-    (fun line ->
-      let line = String.trim line in
-      if line = "" || line.[0] = 'c' then ()
-      else if line.[0] = 'p' then begin
-        (match String.split_on_char ' ' line |> List.filter (( <> ) "") with
-        | [ "p"; "cnf"; nv; _nc ] -> (
-            match int_of_string_opt nv with
-            | Some n -> nvars := n
-            | None -> failwith "Dimacs.parse: bad header")
-        | _ -> failwith "Dimacs.parse: bad header");
-        header_seen := true
+  (* where a header was missed: the first clause line, if any *)
+  let first_clause = ref None in
+  let lines = String.split_on_char '\n' src in
+  let parse_line lineno line =
+    let line = String.trim line in
+    if line = "" || line.[0] = 'c' then ()
+    else if line.[0] = 'p' then begin
+      (match tokens line with
+      | [ "p"; "cnf"; nv; _nc ] -> (
+          match int_of_string_opt nv with
+          | Some n -> nvars := n
+          | None -> fail lineno nv Bad_header)
+      | _ -> fail lineno line Bad_header);
+      header_seen := true
+    end
+    else begin
+      if !first_clause = None then first_clause := Some (lineno, List.hd (tokens line));
+      List.iter
+        (fun tok ->
+          match int_of_string_opt tok with
+          | None -> fail lineno tok Bad_literal
+          | Some 0 ->
+              clauses := List.rev !current :: !clauses;
+              current := []
+          | Some l ->
+              if abs l > !nvars then nvars := abs l;
+              current := l :: !current)
+        (tokens line)
+    end
+  in
+  match List.iteri (fun i line -> parse_line (i + 1) line) lines with
+  | exception Parse_error e -> Error e
+  | () ->
+      if not !header_seen then begin
+        let line, token =
+          Option.value !first_clause ~default:(List.length lines, "")
+        in
+        Error { line; token; reason = Missing_header }
       end
-      else
-        String.split_on_char ' ' line
-        |> List.filter (( <> ) "")
-        |> List.iter (fun tok ->
-               match int_of_string_opt tok with
-               | None -> failwith ("Dimacs.parse: bad literal " ^ tok)
-               | Some 0 ->
-                   clauses := List.rev !current :: !clauses;
-                   current := []
-               | Some l ->
-                   if abs l > !nvars then nvars := abs l;
-                   current := l :: !current))
-    lines;
-  if not !header_seen then failwith "Dimacs.parse: missing p cnf header";
-  if !current <> [] then clauses := List.rev !current :: !clauses;
-  { nvars = !nvars; clauses = List.rev !clauses }
+      else begin
+        if !current <> [] then clauses := List.rev !current :: !clauses;
+        Ok { nvars = !nvars; clauses = List.rev !clauses }
+      end
 
 let print p =
   let buf = Buffer.create 256 in
@@ -52,7 +82,9 @@ let load_into solver p =
   List.iter (Solver.add_clause solver) p.clauses
 
 let solve_string ?max_conflicts src =
-  let p = parse src in
-  let s = Solver.create () in
-  load_into s p;
-  Solver.solve ?max_conflicts s
+  Result.map
+    (fun p ->
+      let s = Solver.create () in
+      load_into s p;
+      Solver.solve ?max_conflicts s)
+    (parse src)

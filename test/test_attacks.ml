@@ -678,6 +678,71 @@ let test_metrics_bitstream_split () =
   Alcotest.(check bool) "has table bits" true (m.A.Metrics.table_bits > 0);
   Alcotest.(check bool) "has routing bits" true (m.A.Metrics.routing_bits > 0)
 
+(* ---------------- golden attack trajectories ---------------- *)
+
+module Circ = Shell_circuits
+
+(* Cap-bound SAT attacks (the DIP and conflict caps bind, never the
+   clock) on xbar4 locked four ways at two seeds, and on the
+   SheLL-redacted AES subject at the flow's default seed. Each entry is
+   [verdict dips conflicts decisions propagations restarts key-md5];
+   any change to the miter's clauses or the solver's search moves it. *)
+let golden_attacks =
+  [
+    ("xbar4/rlut/11", "broken 17 651 7718 100769 3 9cb4d87d5fde64dfa0e24aefda8e2705");
+    ("xbar4/hlut/11", "broken 8 683 5010 69158 4 93ffb499b88b87f30faab04e33cfdfa7");
+    ("xbar4/mux/11", "broken 8 766 6722 84702 4 35b9ab5a36f3234dd26db357fd4a0dc1");
+    ("xbar4/muxlut/11", "broken 16 1399 14329 298828 6 32a6f3a22870b7c9ebfb91a854a3ff68");
+    ("xbar4/rlut/12", "broken 16 736 6195 88150 3 d3f8084fbcc195f368d539c3d42a214a");
+    ("xbar4/hlut/12", "broken 8 683 5010 69158 4 93ffb499b88b87f30faab04e33cfdfa7");
+    ("xbar4/mux/12", "broken 5 593 4756 63121 4 35b9ab5a36f3234dd26db357fd4a0dc1");
+    ("xbar4/muxlut/12", "broken 8 825 5834 89305 4 35b9ab5a36f3234dd26db357fd4a0dc1");
+    ("AES/shell", "timeout 6 1232 163068 790672 9 -");
+  ]
+
+let attack_trajectory ~caps:(max_dips, max_conflicts) ?cycle_blocks ~original locked =
+  let oracle = A.Sat_attack.oracle_of_netlist original in
+  let verdict, key, st =
+    match
+      A.Sat_attack.run ~max_dips ~max_conflicts ~time_limit:Float.infinity ?cycle_blocks
+        ~oracle locked
+    with
+    | A.Sat_attack.Broken (key, st) -> ("broken", Test_lint.(md5 (bits_string key)), st)
+    | A.Sat_attack.Timeout st -> ("timeout", "-", st)
+  in
+  Printf.sprintf "%s %d %d %d %d %d %s" verdict st.A.Sat_attack.dips st.A.Sat_attack.conflicts
+    st.A.Sat_attack.decisions st.A.Sat_attack.propagations st.A.Sat_attack.restarts key
+
+let test_golden_attacks () =
+  let xbar seed =
+    List.map
+      (fun (name, lock) ->
+        let nl = Circ.Axi_xbar.netlist ~channels:4 ~data_width:8 () in
+        let lk = lock nl in
+        ( Printf.sprintf "xbar4/%s/%d" name seed,
+          attack_trajectory ~caps:(64, 4000) ~original:nl lk.L.Locked.locked ))
+      [
+        ("rlut", L.Schemes.random_lut ~seed ~gates:10);
+        ("hlut", L.Schemes.heuristic_lut ~seed ~gates:10);
+        ("mux", L.Schemes.mux_routing ~seed ~width:8);
+        ("muxlut", L.Schemes.mux_lut ~seed ~width:8);
+      ]
+  in
+  let aes =
+    let module C = Shell_core in
+    let r = Test_lint.flow_lock "AES" "muxchain" in
+    ( "AES/shell",
+      attack_trajectory ~caps:(64, 1000)
+        ~cycle_blocks:r.C.Flow.emitted.Shell_fabric.Emit.cycle_blocks
+        ~original:r.C.Flow.cut.C.Extraction.sub
+        (C.Flow.locked_sub r).L.Locked.locked )
+  in
+  let actual = xbar 11 @ xbar 12 @ [ aes ] in
+  if actual <> golden_attacks then begin
+    List.iter (fun (what, t) -> Printf.printf "    (%S, %S);\n" what t) actual;
+    Alcotest.fail "attack trajectories moved (actual printed above)"
+  end
+
 let suite =
   [
     ("breaks xor", `Quick, test_breaks_xor);
@@ -719,4 +784,5 @@ let suite =
     ("portfolio external stop", `Quick, test_portfolio_external_stop);
     ("portfolio first break cancels", `Quick, test_portfolio_first_break_cancels);
     ("cycle blocks both vectors", `Quick, test_cycle_blocks_exclude_both_vectors);
+    ("golden attack trajectories", `Quick, test_golden_attacks);
   ]
