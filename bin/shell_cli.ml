@@ -78,16 +78,22 @@ let metrics_arg =
   in
   Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
 
-(* Run [f] with the registry on, writing the snapshot even when [f]
-   dies through [die] (which exits rather than unwinds) — hence
-   at_exit instead of Fun.protect. *)
-let with_metrics metrics f =
-  match metrics with
-  | None -> f ()
-  | Some path ->
-      Obs.set_enabled true;
-      at_exit (fun () -> try Obs.write_file path with Sys_error _ -> ());
-      f ()
+let read_file path =
+  try
+    let ic = open_in path in
+    let n = in_channel_length ic in
+    let s = really_input_string ic n in
+    close_in ic;
+    s
+  with Sys_error m -> dief "%s" m
+
+(* Every file the CLI writes goes through here, so an unwritable path
+   is a diagnostic and exit 1 rather than an uncaught exception. *)
+let write_file path text =
+  try
+    let oc = open_out path in
+    Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc text)
+  with Sys_error m -> dief "%s" m
 
 (* Benchmark lookup, TfR defaults and job execution live in
    Shell_serve.Jobs, shared with the daemon so socket and CLI
@@ -161,8 +167,8 @@ let lock_spec bench style route lgc seed =
   { SP.bench; style = SJ.style_id style; route; lgc; seed }
 
 let lock_run bench style route lgc seed trace metrics out bitstream_out =
-  if trace then Shell_util.Trace.set_enabled true;
-  with_metrics metrics @@ fun () ->
+  if trace then Obs.trace_at_exit ();
+  Option.iter Obs.write_at_exit metrics;
   match SJ.lock_flow (lock_spec bench style route lgc seed) with
   | Error d -> die d
   | Ok r ->
@@ -170,24 +176,19 @@ let lock_run bench style route lgc seed trace metrics out bitstream_out =
       (match out with
       | None -> ()
       | Some path ->
-          let oc = open_out path in
-          output_string oc (N.Verilog.to_string r.C.Flow.locked_full);
-          close_out oc;
+          write_file path (N.Verilog.to_string r.C.Flow.locked_full);
           Printf.printf "locked design written to %s\n" path);
       (match bitstream_out with
       | None -> ()
       | Some path ->
-          let oc = open_out path in
-          output_string oc
-            (F.Bitstream.to_hex r.C.Flow.emitted.F.Emit.bitstream);
-          output_string oc "\n";
-          close_out oc;
+          write_file path
+            (F.Bitstream.to_hex r.C.Flow.emitted.F.Emit.bitstream ^ "\n");
           Printf.printf "bitstream written to %s\n" path)
 
 let trace_arg =
   let doc =
-    "Print per-pass wall time and counters to stderr (same as setting \
-     SHELL_TRACE=1)."
+    "Print the span tree (per-pass wall time and counters) to stderr at \
+     exit (same as setting SHELL_TRACE=1)."
   in
   Arg.(value & flag & info [ "trace" ] ~doc)
 
@@ -213,19 +214,10 @@ let lock_cmd =
 (* ---------------- lock-file ---------------- *)
 
 let lock_file_run input style route lgc seed trace metrics out bitstream_out =
-  if trace then Shell_util.Trace.set_enabled true;
-  with_metrics metrics @@ fun () ->
-  let src =
-    try
-      let ic = open_in input in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      s
-    with Sys_error m -> dief "%s" m
-  in
+  if trace then Obs.trace_at_exit ();
+  Option.iter Obs.write_at_exit metrics;
   let nl =
-    match N.Verilog.parse src with
+    match N.Verilog.parse (read_file input) with
     | nl -> nl
     | exception N.Verilog.Parse_error m -> dief "parse error: %s" m
   in
@@ -252,15 +244,13 @@ let lock_file_run input style route lgc seed trace metrics out bitstream_out =
   (match out with
   | None -> ()
   | Some path ->
-      let oc = open_out path in
-      output_string oc (N.Verilog.to_string r.C.Flow.locked_full);
-      close_out oc;
+      write_file path (N.Verilog.to_string r.C.Flow.locked_full);
       Printf.printf "locked design written to %s
 " path);
   match bitstream_out with
   | None -> ()
   | Some path ->
-      F.Bitstream.save r.C.Flow.emitted.F.Emit.bitstream path;
+      write_file path (F.Bitstream.serialize r.C.Flow.emitted.F.Emit.bitstream);
       Printf.printf "bitstream written to %s
 " path
 
@@ -296,7 +286,7 @@ let lock_file_cmd =
    verdict type, one budget record, any registered attack by name *)
 let attack_run bench style route lgc seed attack_name dips conflicts seconds
     vectors metrics =
-  with_metrics metrics @@ fun () ->
+  Option.iter Obs.write_at_exit metrics;
   let spec =
     {
       SP.target = lock_spec bench style route lgc seed;
@@ -344,7 +334,7 @@ let attack_cmd =
 
 let battery_run benches schemes attack_names jobs seed dips conflicts seconds
     vectors json metrics list_attacks =
-  with_metrics metrics @@ fun () ->
+  Option.iter Obs.write_at_exit metrics;
   if list_attacks then
     List.iter
       (fun (a : A.Attack.t) ->
@@ -466,7 +456,13 @@ let stats_run bench style route lgc seed attack =
         (if attack then " + attack" else "");
       Obs.pp_spans Format.std_formatter (Obs.spans ());
       print_newline ();
-      print_string (Obs.to_prometheus (Obs.snapshot ()))
+      let nonzero (s : Obs.sample) =
+        match s.Obs.value with
+        | Obs.Counter v | Obs.Gauge v -> v <> 0
+        | Obs.Histogram { count; _ } -> count <> 0
+      in
+      print_string
+        (Obs.to_prometheus (List.filter nonzero (Obs.snapshot ())))
 
 let stats_cmd =
   let attack =
@@ -479,7 +475,7 @@ let stats_cmd =
     (Cmd.info "stats"
        ~doc:
          "Run the lock flow with telemetry on and print the hierarchical \
-          span tree plus all metrics (Prometheus text format).")
+          span tree plus every non-zero metric (Prometheus text format).")
     Term.(
       const stats_run $ bench_arg $ style_arg $ route_arg $ lgc_arg $ seed_arg
       $ attack)
@@ -488,7 +484,7 @@ let stats_cmd =
 
 let fuzz_run metrics seed cases jobs oracle_names self_test no_shrink dir
     list_oracles =
-  with_metrics metrics @@ fun () ->
+  Option.iter Obs.write_at_exit metrics;
   if list_oracles then
     List.iter
       (fun (o : Fz.Oracles.t) ->
@@ -591,18 +587,9 @@ module Rules = Shell_lint.Rules
    or job count. *)
 let lint_subject_of_result = SJ.lint_subject_of_result
 
-let read_file path =
-  try
-    let ic = open_in path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  with Sys_error m -> dief "%s" m
-
 let lint_run metrics benches files locked style seed jobs json_out severity
     baseline update_baseline list_rules =
-  with_metrics metrics @@ fun () ->
+  Option.iter Obs.write_at_exit metrics;
   if list_rules then
     List.iter
       (fun (r : Lint.rule) ->
@@ -612,6 +599,8 @@ let lint_run metrics benches files locked style seed jobs json_out severity
           r.Lint.help)
       Rules.all
   else begin
+    if update_baseline && baseline = None then
+      dief "--update-baseline needs --baseline FILE";
     let severity =
       match Lint.severity_of_string severity with
       | Some s -> s
@@ -655,10 +644,10 @@ let lint_run metrics benches files locked style seed jobs json_out severity
         (Lint.run ?jobs ~severity ~baseline:base_fps ~rules:Rules.all)
         (bench_subjects @ file_subjects)
     in
-    (match (baseline, update_baseline) with
-    | Some path, true ->
-        let oc = open_out path in
-        output_string oc
+    (match baseline with
+    | Some path when update_baseline ->
+        let buf = Buffer.create 4096 in
+        Buffer.add_string buf
           "# shell lint baseline: one fingerprint per accepted finding\n";
         let n = ref 0 in
         List.iter
@@ -666,15 +655,14 @@ let lint_run metrics benches files locked style seed jobs json_out severity
             List.iter
               (fun f ->
                 incr n;
-                output_string oc
+                Buffer.add_string buf
                   (Lint.baseline_line ~subject_name:r.Lint.subject_name f);
-                output_char oc '\n')
+                Buffer.add_char buf '\n')
               r.Lint.findings)
           reports;
-        close_out oc;
+        write_file path (Buffer.contents buf);
         Printf.printf "baseline written to %s (%d finding%s)\n" path !n
           (if !n = 1 then "" else "s")
-    | None, true -> dief "--update-baseline needs --baseline FILE"
     | _ -> ());
     let total f = List.fold_left (fun acc r -> acc + f r) 0 reports in
     if json_out then
@@ -777,7 +765,7 @@ let lint_cmd =
 
 module BH = Shell_bench_history
 
-let bench_run targets jobs out_dir history record check report allowlist
+let bench_run targets jobs history record check report allowlist
     time_tolerance commit against list_targets =
   if list_targets then
     List.iter
@@ -789,7 +777,6 @@ let bench_run targets jobs out_dir history record check report allowlist
       {
         BH.Runner.targets;
         jobs;
-        out_dir;
         history;
         record;
         check;
@@ -824,20 +811,12 @@ let bench_cmd =
             "Worker domains (default: SHELL_JOBS or the core count). The \
              stable part of every record is byte-identical for any value.")
   in
-  let out_dir =
-    Arg.(
-      value & opt string "."
-      & info [ "out" ] ~docv:"DIR"
-          ~doc:
-            "Directory for bench artifacts; the default history file lives \
-             here.")
-  in
   let history =
     Arg.(
       value
       & opt (some string) None
       & info [ "history" ] ~docv:"FILE"
-          ~doc:"JSONL history file (default $(b,DIR)/BENCH_HISTORY.jsonl).")
+          ~doc:"JSONL history file (default ./BENCH_HISTORY.jsonl).")
   in
   let record =
     Arg.(
@@ -914,7 +893,7 @@ let bench_cmd =
           history: --record appends, --check gates on stable-counter drift, \
           --report renders the HTML trend page.")
     Term.(
-      const bench_run $ targets $ jobs $ out_dir $ history $ record $ check
+      const bench_run $ targets $ jobs $ history $ record $ check
       $ report $ allowlist $ time_tolerance $ commit $ against $ list_targets)
 
 (* ---------------- serve ---------------- *)

@@ -136,25 +136,6 @@ let run_battery ~jobs =
   in
   [ ("matrix", secs) ]
 
-(* ---- attacks: the two DIP-loop attacks, individually timed ---- *)
-
-let run_attacks ~jobs:_ =
-  let nl = xbar4 () in
-  let subject =
-    A.Attack.subject ~label:"xbar4/mux:8" ~original:nl
-      (L.Schemes.mux_routing ~seed:1 ~width:8 nl)
-  in
-  List.filter_map
-    (fun name ->
-      A.Battery.find name
-      |> Option.map (fun atk ->
-             let _, secs =
-               time_wall (fun () ->
-                   ignore (A.Battery.run_attack capped_budget atk subject))
-             in
-             (name, secs)))
-    [ "sat"; "appsat" ]
-
 let all =
   [
     {
@@ -171,11 +152,6 @@ let all =
       name = "battery";
       description = "full attack registry on locked xbar4 (cap-bound)";
       run = run_battery;
-    };
-    {
-      name = "attacks";
-      description = "sat + appsat DIP loops on mux-locked xbar4";
-      run = run_attacks;
     };
   ]
 

@@ -17,7 +17,7 @@ type t = {
 }
 
 val all : t list
-(** grid, simulate, battery, attacks — registry order. *)
+(** grid, simulate, battery — registry order. *)
 
 val find : string -> t option
 val names : unit -> string list

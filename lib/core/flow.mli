@@ -56,8 +56,9 @@ val run_staged :
   config ->
   Shell_netlist.Netlist.t ->
   Pipeline.outcome
-(** {!Pipeline.execute}: never raises on pass failure, returns the
-    per-pass trace and whatever artifacts were produced. *)
+(** {!Pipeline.execute}: never raises on pass failure, returns
+    whatever artifacts were produced and the diagnostic of the pass
+    that aborted, if any. *)
 
 val of_outcome : Pipeline.outcome -> result
 (** Pack a completed outcome into a [result]; raises

@@ -8,8 +8,6 @@ module Pnr = Shell_pnr.Pnr
 module Lint = Shell_lint.Lint
 module Lint_rules = Shell_lint.Rules
 module Diag = Shell_util.Diag
-module Trace = Shell_util.Trace
-module Clock = Shell_util.Clock
 
 type target =
   | Fixed of { route : string list; lgc : string list; label : string }
@@ -54,11 +52,7 @@ type artifacts = {
   lint : Lint.report option;
 }
 
-type outcome = {
-  artifacts : artifacts;
-  trace : Trace.span list;
-  failed : Diag.t option;
-}
+type outcome = { artifacts : artifacts; failed : Diag.t option }
 
 let pass_names =
   [
@@ -768,11 +762,10 @@ let execute ?(use_cache = true) ?(strict_fit = false) ?fabric config original =
       lint = None;
     }
   in
-  let art = ref init and spans = ref [] and failed = ref None in
+  let art = ref init and failed = ref None in
   let run_pass p =
     Obs.with_span p.name @@ fun () ->
     Obs.incr m_passes;
-    let t0 = Clock.now () in
     let key =
       if ctx.use_cache then
         Option.map (fun k -> p.name ^ "|" ^ k) (p.key ctx !art)
@@ -799,18 +792,9 @@ let execute ?(use_cache = true) ?(strict_fit = false) ?fabric config original =
                   raise e))
     in
     art := apply !art product;
-    let counters = p.counters !art in
-    spans :=
-      {
-        Trace.pass = p.name;
-        seconds = Clock.now () -. t0;
-        cache_hit = !hit;
-        counters;
-      }
-      :: !spans;
     if Obs.enabled () then begin
       Obs.span_add "cache_hit" (if !hit then 1 else 0);
-      List.iter (fun (k, v) -> Obs.span_add k v) counters
+      List.iter (fun (k, v) -> Obs.span_add k v) (p.counters !art)
     end;
     if p.name = "pnr" && ctx.strict_fit then
       let mapped = the "pnr" !art.mapped in
@@ -823,6 +807,4 @@ let execute ?(use_cache = true) ?(strict_fit = false) ?fabric config original =
   in
   (try Obs.with_span "pipeline" (fun () -> List.iter run_pass passes)
    with Diag.Error d -> failed := Some d);
-  let trace = List.rev !spans in
-  if Trace.enabled () then Format.eprintf "%a@." Trace.pp trace;
-  { artifacts = !art; trace; failed = !failed }
+  { artifacts = !art; failed = !failed }

@@ -4,9 +4,9 @@
     synthesis, PnR, emission, shrinking, overhead — plus a final
     diagnostics-only [lint] pass are named passes, each consuming and
     producing fields of a staged {!artifacts}
-    record. {!execute} runs them in order, recording a
-    {!Shell_util.Trace.span} per pass (wall time, cache hit, counters)
-    and stopping at the first pass that raises
+    record. {!execute} runs them in order, each under an
+    {!Shell_util.Obs} span carrying its cache hit and counters (when
+    collection is on), and stops at the first pass that raises
     {!Shell_util.Diag.Error}: the outcome then carries the diagnostic
     (stamped with the failing pass) alongside every artifact produced
     before it.
@@ -66,7 +66,6 @@ type artifacts = {
 
 type outcome = {
   artifacts : artifacts;
-  trace : Shell_util.Trace.span list;  (** one span per completed pass *)
   failed : Shell_util.Diag.t option;  (** [Some] when a pass aborted *)
 }
 
@@ -87,7 +86,9 @@ val execute :
     legacy behavior of reporting the shortage in
     [result.fit]. [~fabric] pins the fabric (skipping the sizing/grow
     loop) — used with [~strict_fit] to force a fit failure. When
-    [SHELL_TRACE] is on, spans are printed to stderr. *)
+    {!Shell_util.Obs} is enabled, the run records a ["pipeline"] span
+    with one child per executed pass, in order; each child carries a
+    [cache_hit] counter (0 or 1) followed by the pass's own counters. *)
 
 val cache_stats : unit -> int * int
 (** (hits, misses) since the last {!clear_cache}. *)

@@ -127,15 +127,3 @@ let deserialize src =
         ordered;
       if !covered <> total then fail "segments do not cover the bits";
       t
-
-let save t path =
-  let oc = open_out path in
-  output_string oc (serialize t);
-  close_out oc
-
-let load path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  deserialize s

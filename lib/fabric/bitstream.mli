@@ -43,7 +43,7 @@ val hamming : bool array -> bool array -> int
 
     A line-oriented text format: a header, one [segment] line per
     configured element, then the bits as hex. Round-trips through
-    {!save}/{!load}. *)
+    {!serialize}/{!deserialize}. *)
 
 val serialize : t -> string
 
@@ -51,6 +51,3 @@ exception Parse_error of string
 
 val deserialize : string -> t
 (** Raises {!Parse_error} on malformed input. *)
-
-val save : t -> string -> unit
-val load : string -> t

@@ -373,11 +373,19 @@ let spans () =
   Mutex.unlock roots_mutex;
   List.rev r
 
+(* one name column for the whole forest: as wide as its widest
+   indented name, so every "ms" lands in the same column *)
 let pp_spans ppf spans =
+  let rec widest depth acc sp =
+    List.fold_left (widest (depth + 1))
+      (max acc ((2 * depth) + String.length sp.name))
+      sp.children
+  in
+  let width = List.fold_left (widest 0) 0 spans in
   let rec go depth sp =
     Format.fprintf ppf "%s%-*s %8.1f ms"
       (String.make (2 * depth) ' ')
-      (max 1 (24 - (2 * depth)))
+      (width - (2 * depth))
       sp.name (1000.0 *. sp.seconds);
     List.iter (fun (k, v) -> Format.fprintf ppf "  %s=%d" k v) sp.counters;
     Format.pp_print_newline ppf ();
@@ -425,14 +433,30 @@ let reset () =
   roots := [];
   Mutex.unlock roots_mutex
 
-(* ---------------- env gates ---------------- *)
+(* ---------------- at-exit reports ---------------- *)
+
+(* Both run at exit rather than under [Fun.protect] so a CLI that dies
+   through [exit] still reports. *)
+let write_at_exit path =
+  set_enabled true;
+  at_exit (fun () -> try write_file path with Sys_error _ -> ())
+
+(* one gate for [--trace] and [SHELL_TRACE]: the tree prints once even
+   when both ask for it *)
+let tracing = Atomic.make false
+
+let trace_at_exit () =
+  set_enabled true;
+  if not (Atomic.exchange tracing true) then
+    at_exit (fun () -> Format.eprintf "%a@?" pp_spans (spans ()))
 
 let () =
   (match Sys.getenv_opt "SHELL_OBS" with
   | Some ("1" | "true") -> set_enabled true
   | _ -> ());
+  (match Sys.getenv_opt "SHELL_TRACE" with
+  | None | Some ("" | "0" | "false") -> ()
+  | Some _ -> trace_at_exit ());
   match Sys.getenv_opt "SHELL_METRICS" with
-  | Some path when path <> "" ->
-      set_enabled true;
-      at_exit (fun () -> try write_file path with Sys_error _ -> ())
+  | Some path when path <> "" -> write_at_exit path
   | _ -> ()

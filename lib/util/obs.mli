@@ -4,8 +4,8 @@
     iterations, solver conflicts, timeout behaviour) and the overhead
     story on per-stage resource counts. [Obs] is the process-wide
     registry those layers report into: counters, gauges and
-    fixed-log-bucket histograms, plus parent/child spans that extend
-    the flat per-pass {!Trace}.
+    fixed-log-bucket histograms, plus parent/child spans: one per
+    pipeline pass, PnR attempt, lint rule and attack cell.
 
     {b Determinism contract.} Metric cells are sharded per domain
     (uncontended atomics) and merged at snapshot time in {e
@@ -24,7 +24,8 @@
     [SHELL_OBS=1], or [SHELL_METRICS=FILE] (which additionally writes
     a snapshot at process exit: Prometheus text when [FILE] ends in
     [.prom], JSON otherwise; [SHELL_METRICS_STABLE=1] restricts it to
-    stable metrics). *)
+    stable metrics) or [SHELL_TRACE=1] (which additionally prints the
+    span tree to stderr at process exit). *)
 
 val enabled : unit -> bool
 val set_enabled : bool -> unit
@@ -97,9 +98,11 @@ val diffable_counters : ?extra:string list -> sample list -> (string * int) list
     contribute ["name.count"] and ["name.sum"]. This is the byte-
     diffable section of a bench-history record. *)
 
-val write_file : string -> unit
-(** Snapshot now and write to a path ([.prom] selects the Prometheus
-    exposition, anything else JSON), honoring [SHELL_METRICS_STABLE]. *)
+val write_at_exit : string -> unit
+(** Enable collection and, at process exit, write a snapshot to the
+    path ([.prom] selects the Prometheus exposition, anything else
+    JSON), honoring [SHELL_METRICS_STABLE]; write errors are ignored.
+    What [SHELL_METRICS=FILE] and the CLI's [--metrics FILE] do. *)
 
 (** {1 Hierarchical spans} *)
 
@@ -148,7 +151,15 @@ val spans : unit -> span list
 (** Completed root spans, oldest first. *)
 
 val pp_spans : Format.formatter -> span list -> unit
-(** Indented tree, one line per span: wall time and counters. *)
+(** Indented tree, one line per span: wall time and counters. The name
+    column is as wide as the widest indented name, so the times line
+    up. *)
+
+val trace_at_exit : unit -> unit
+(** Enable collection and print the span tree ({!pp_spans} of
+    {!spans}) to stderr at process exit — what [SHELL_TRACE=1] and the
+    CLI's [--trace] do. Idempotent: the tree prints once however often
+    this is called. *)
 
 val spans_json : span list -> Jsonw.t
 

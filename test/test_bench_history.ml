@@ -282,13 +282,15 @@ let test_report_html () =
 
 let test_execute_record_check () =
   let dir = temp_path "" in
+  Sys.mkdir dir 0o755;
+  let history = Filename.concat dir "BENCH_HISTORY.jsonl" in
   let quiet _ = () in
   let opts target =
     {
       Runner.default_opts with
       Runner.targets = [ "simulate" ];
       jobs = Some 2;
-      out_dir = dir;
+      history = Some history;
       record = target;
       check = not target;
       commit = Some "seed";
@@ -302,7 +304,6 @@ let test_execute_record_check () =
   (match Runner.execute ~out:quiet (opts true) with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "record run failed");
-  let history = Filename.concat dir "BENCH_HISTORY.jsonl" in
   Alcotest.(check bool) "history written" true (Sys.file_exists history);
   (match Runner.execute ~out:quiet (opts false) with
   | Ok () -> ()
@@ -349,13 +350,15 @@ let test_execute_record_check () =
 
 let test_check_against () =
   let dir = temp_path "" in
+  Sys.mkdir dir 0o755;
+  let history = Filename.concat dir "BENCH_HISTORY.jsonl" in
   let quiet _ = () in
   let opts =
     {
       Runner.default_opts with
       Runner.targets = [ "simulate" ];
       jobs = Some 2;
-      out_dir = dir;
+      history = Some history;
       check = true;
     }
   in
@@ -366,7 +369,6 @@ let test_check_against () =
    with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "baseline record failed");
-  let history = Filename.concat dir "BENCH_HISTORY.jsonl" in
   (* ...then append a perturbed record as the latest entry *)
   (match History.load history with
   | Ok [ r ] ->

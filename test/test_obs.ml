@@ -145,6 +145,49 @@ let test_span_tree_pnr_abort () =
     [ "connectivity"; "selection"; "extraction"; "synthesis"; "pnr" ]
     (List.map (fun (s : Obs.span) -> s.Obs.name) root.Obs.children)
 
+(* ---- span rendering ---- *)
+
+(* [span] is a public record too: one name longer than the old fixed
+   24-column field, nested, must not push its time column right *)
+let test_pp_spans_aligned () =
+  let sp ?(counters = []) ?(children = []) name =
+    { Obs.name; seconds = 0.0125; counters; children }
+  in
+  let forest =
+    [
+      sp "pipeline"
+        ~children:
+          [
+            sp "pnr" ~counters:[ ("cache_hit", 0) ] ~children:[ sp "pnr.attempt" ];
+            sp "lint"
+              ~children:
+                [
+                  sp "lint.ctx";
+                  sp "lint.rule.net-multi-driven" ~counters:[ ("findings", 0) ];
+                ];
+          ];
+      sp "sat_attack" ~children:[ sp "dip" ];
+    ]
+  in
+  let lines =
+    Format.asprintf "%a" Obs.pp_spans forest
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  Alcotest.(check int) "one line per span" 8 (List.length lines);
+  let ms_col l =
+    let rec go i =
+      if i + 3 > String.length l then Alcotest.failf "no ms in %S" l
+      else if String.sub l i 3 = " ms" then i
+      else go (i + 1)
+    in
+    go 0
+  in
+  let cols = List.map ms_col lines in
+  List.iter2
+    (fun l c -> Alcotest.(check int) ("ms column of " ^ String.trim l) (List.hd cols) c)
+    lines cols
+
 (* ---- disabled fast path ---- *)
 
 let test_disabled_no_alloc () =
@@ -295,6 +338,7 @@ let suite =
       test_stable_snapshot_byte_identical );
     ("span tree of a full flow", `Quick, test_span_tree_full_flow);
     ("span tree under pnr abort", `Quick, test_span_tree_pnr_abort);
+    ("span tree columns aligned", `Quick, test_pp_spans_aligned);
     ("disabled path allocates nothing", `Quick, test_disabled_no_alloc);
     ("disabled path records nothing", `Quick, test_disabled_records_nothing);
     ("prometheus: empty snapshot", `Quick, test_prometheus_empty);

@@ -1,4 +1,4 @@
-(* Tests for the staged pass pipeline: trace spans and counters,
+(* Tests for the staged pass pipeline: per-pass Obs spans and counters,
    abort-at-PnR with prior artifacts intact, and pass-level cache
    reuse producing byte-identical results. *)
 
@@ -7,11 +7,27 @@ module F = Shell_fabric
 module C = Shell_core
 module Circ = Shell_circuits
 module Diag = Shell_util.Diag
-module Trace = Shell_util.Trace
+module Obs = Shell_util.Obs
 
 let fir = lazy (Circ.Fir.netlist ())
 
 let fir_cfg () = C.Flow.shell_config ()
+
+(* Run a staged flow with Obs on and return the outcome plus the
+   per-pass spans: the children of the run's "pipeline" span. *)
+let staged_with_spans cfg nl =
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  Obs.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_enabled was;
+      Obs.reset ())
+    (fun () ->
+      let o = C.Flow.run_staged cfg nl in
+      match Obs.spans () with
+      | [ { Obs.name = "pipeline"; children; _ } ] -> (o, children)
+      | _ -> Alcotest.fail "expected one pipeline root span")
 
 let test_pass_names () =
   Alcotest.(check (list string))
@@ -31,24 +47,24 @@ let test_pass_names () =
 
 let test_trace_counters () =
   C.Pipeline.clear_cache ();
-  let o = C.Flow.run_staged (fir_cfg ()) (Lazy.force fir) in
+  let o, spans = staged_with_spans (fir_cfg ()) (Lazy.force fir) in
   Alcotest.(check bool) "no failure" true (o.C.Pipeline.failed = None);
   Alcotest.(check (list string))
     "one span per pass, in order" C.Pipeline.pass_names
-    (List.map (fun s -> s.Trace.pass) o.C.Pipeline.trace);
+    (List.map (fun s -> s.Obs.name) spans);
   List.iter
-    (fun (s : Trace.span) ->
+    (fun (s : Obs.span) ->
       Alcotest.(check bool)
-        (s.Trace.pass ^ " has counters")
+        (s.Obs.name ^ " has counters")
         true
-        (s.Trace.counters <> []);
+        (List.remove_assoc "cache_hit" s.Obs.counters <> []);
       Alcotest.(check bool)
-        (s.Trace.pass ^ " time non-negative")
-        true (s.Trace.seconds >= 0.0))
-    o.C.Pipeline.trace;
+        (s.Obs.name ^ " time non-negative")
+        true (s.Obs.seconds >= 0.0))
+    spans;
   let counter pass name =
-    let s = List.find (fun s -> s.Trace.pass = pass) o.C.Pipeline.trace in
-    List.assoc name s.Trace.counters
+    let s = List.find (fun s -> s.Obs.name = pass) spans in
+    List.assoc name s.Obs.counters
   in
   Alcotest.(check bool) "cells counted" true (counter "connectivity" "cells" > 0);
   Alcotest.(check bool) "luts counted" true (counter "synthesis" "luts" > 0);
@@ -112,10 +128,10 @@ let test_downstream_change_reuses_upstream () =
   let cfg = fir_cfg () in
   C.Pipeline.clear_cache ();
   let _ = C.Flow.run_staged cfg nl in
-  let o2 = C.Flow.run_staged { cfg with C.Flow.seed = 7 } nl in
+  let _, spans = staged_with_spans { cfg with C.Flow.seed = 7 } nl in
   let hit name =
-    (List.find (fun s -> s.Trace.pass = name) o2.C.Pipeline.trace)
-      .Trace.cache_hit
+    List.assoc "cache_hit" (List.find (fun s -> s.Obs.name = name) spans).Obs.counters
+    = 1
   in
   List.iter
     (fun p -> Alcotest.(check bool) (p ^ " reused") true (hit p))
