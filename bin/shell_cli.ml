@@ -8,7 +8,9 @@
      shell lock-file -i design.v --route PAT ... (structural dialect)
      shell attack   -b PicoSoC [--dips N] [--conflicts N] [--seconds S]
 
-   All subcommands are deterministic for a given --seed. *)
+   lock, attack, battery, fuzz and lint also take --socket ADDR, which
+   submits the same job to a `shell serve` daemon instead of running it
+   in-process. All subcommands are deterministic for a given --seed. *)
 
 module N = Shell_netlist
 module F = Shell_fabric
@@ -33,8 +35,6 @@ let die (d : Diag.t) : 'a =
   exit 1
 
 let dief fmt = Format.kasprintf (fun m -> die (Diag.make m)) fmt
-
-let run_flow cfg nl = try C.Flow.run cfg nl with Diag.Error d -> die d
 
 (* ---------------- shared arguments ---------------- *)
 
@@ -95,15 +95,69 @@ let write_file path text =
     Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc text)
   with Sys_error m -> dief "%s" m
 
-(* Benchmark lookup, TfR defaults and job execution live in
-   Shell_serve.Jobs, shared with the daemon so socket and CLI
-   invocations return byte-identical output. *)
-let netlist_of_bench name =
-  match SJ.netlist_of_bench name with
-  | Ok nl -> Ok nl
-  | Error d -> Error (`Msg (Diag.to_string d))
+(* ---------------- job front end ---------------- *)
 
-let default_tfr = SJ.default_tfr
+(* lock, attack, battery, fuzz and lint each describe a Protocol.job.
+   Benchmark lookup, TfR defaults and job execution live in
+   Shell_serve.Jobs, which the daemon runs too, so a job sent with
+   --socket prints the bytes the in-process run prints. *)
+
+let job_socket_arg =
+  let doc =
+    "Submit the job to the `shell serve` daemon at $(docv) (a Unix socket \
+     path, or host:port for TCP) instead of running it in-process; stdout \
+     and exit status are the same. Flags the job cannot carry are refused. \
+     Not read from SHELL_SOCKET, so an exported variable never turns a \
+     local run into a remote one."
+  in
+  Arg.(value & opt (some string) None & info [ "socket" ] ~docv:"ADDR" ~doc)
+
+let priority_arg =
+  Arg.(
+    value & opt int 0
+    & info [ "priority" ] ~docv:"N"
+        ~doc:"Daemon queue priority (with --socket): higher runs first.")
+
+let address_of_arg s =
+  match SS.address_of_string s with Ok a -> a | Error m -> dief "%s" m
+
+let with_daemon socket f =
+  let addr = address_of_arg socket in
+  match SC.with_connection addr f with
+  | r -> r
+  | exception Unix.Unix_error (e, _, _) ->
+      dief "cannot reach daemon at %s: %s (is `shell serve` running?)" socket
+        (Unix.error_message e)
+
+(* The response contract mirrors the in-process run: Result bytes go to
+   stdout verbatim and a failed verdict exits 1; Rejected/Failed render
+   on stderr with exit 1. *)
+let client_submit socket priority job =
+  match with_daemon socket (fun c -> SC.submit c ~priority job) with
+  | Ok (SP.Result { output; ok; _ }) ->
+      print_string output;
+      if not ok then exit 1
+  | Ok (SP.Rejected { reason; _ }) -> dief "rejected: %s" reason
+  | Ok (SP.Failed { message; _ }) -> dief "%s" message
+  | Ok _ -> dief "unexpected response type from daemon"
+  | Error m -> dief "%s" m
+
+(* With --socket, submit [job]; otherwise run [local] in-process.
+   [local_only] names each flag setting the job record cannot carry:
+   any that is set is refused before connecting. *)
+let run_job socket priority job ~local_only local =
+  match socket with
+  | None ->
+      if priority <> 0 then dief "--priority needs --socket";
+      local ()
+  | Some addr ->
+      List.iter
+        (fun (flag, set) ->
+          if set then
+            dief "%s cannot be used with --socket: the daemon job does not \
+                  carry it" flag)
+        local_only;
+      client_submit addr priority job
 
 (* ---------------- list ---------------- *)
 
@@ -132,8 +186,8 @@ let list_cmd =
 
 let analyze_cmd =
   let run bench =
-    match netlist_of_bench bench with
-    | Error (`Msg m) -> dief "%s" m
+    match SJ.netlist_of_bench bench with
+    | Error d -> die d
     | Ok nl ->
         let t = C.Connectivity.analyze nl in
         Printf.printf "%d cells, %d blocks\n\n" (N.Netlist.num_cells nl)
@@ -166,10 +220,21 @@ let analyze_cmd =
 let lock_spec bench style route lgc seed =
   { SP.bench; style = SJ.style_id style; route; lgc; seed }
 
-let lock_run bench style route lgc seed trace metrics out bitstream_out =
+let lock_run socket priority bench style route lgc seed trace metrics out
+    bitstream_out =
+  let spec = lock_spec bench style route lgc seed in
+  run_job socket priority (SP.Lock spec)
+    ~local_only:
+      [
+        ("-o", out <> None);
+        ("--bitstream", bitstream_out <> None);
+        ("--trace", trace);
+        ("--metrics", metrics <> None);
+      ]
+  @@ fun () ->
   if trace then Obs.trace_at_exit ();
   Option.iter Obs.write_at_exit metrics;
-  match SJ.lock_flow (lock_spec bench style route lgc seed) with
+  match SJ.lock_flow spec with
   | Error d -> die d
   | Ok r ->
       print_string (SJ.lock_render r);
@@ -208,8 +273,9 @@ let lock_cmd =
   Cmd.v
     (Cmd.info "lock" ~doc:"Redact a benchmark with the SheLL flow.")
     Term.(
-      const lock_run $ bench_arg $ style_arg $ route_arg $ lgc_arg $ seed_arg
-      $ trace_arg $ metrics_arg $ out_arg $ bs_arg)
+      const lock_run $ job_socket_arg $ priority_arg $ bench_arg $ style_arg
+      $ route_arg $ lgc_arg $ seed_arg $ trace_arg $ metrics_arg $ out_arg
+      $ bs_arg)
 
 (* ---------------- lock-file ---------------- *)
 
@@ -237,7 +303,7 @@ let lock_file_run input style route lgc seed trace metrics out bitstream_out =
       seed;
     }
   in
-  let r = run_flow cfg nl in
+  let r = try C.Flow.run cfg nl with Diag.Error d -> die d in
   Format.printf "%a@." C.Flow.pp_summary r;
   Printf.printf "verify: %s
 " (if C.Flow.verify r then "PASS" else "FAIL");
@@ -284,22 +350,25 @@ let lock_file_cmd =
 
 (* every attack command funnels through the unified interface now: one
    verdict type, one budget record, any registered attack by name *)
-let attack_run bench style route lgc seed attack_name dips conflicts seconds
-    vectors metrics =
-  Option.iter Obs.write_at_exit metrics;
-  let spec =
-    {
-      SP.target = lock_spec bench style route lgc seed;
-      attack = attack_name;
-      dips;
-      conflicts;
-      seconds;
-      vectors;
-    }
+let attack_run socket priority bench style route lgc seed attack_name dips
+    conflicts seconds vectors metrics =
+  let job =
+    SP.Attack
+      {
+        SP.target = lock_spec bench style route lgc seed;
+        attack = attack_name;
+        dips;
+        conflicts;
+        seconds;
+        vectors;
+      }
   in
-  match SJ.attack_output spec with
+  run_job socket priority job ~local_only:[ ("--metrics", metrics <> None) ]
+  @@ fun () ->
+  Option.iter Obs.write_at_exit metrics;
+  match SJ.run job with
   | Error d -> die d
-  | Ok out -> print_string out
+  | Ok o -> print_string o.SJ.output
 
 let dips_arg = Arg.(value & opt int 64 & info [ "dips" ] ~doc:"Max DIPs.")
 
@@ -326,14 +395,35 @@ let attack_cmd =
     (Cmd.info "attack"
        ~doc:"Run one registered attack on a SheLL-redacted benchmark.")
     Term.(
-      const attack_run $ bench_arg $ style_arg $ route_arg $ lgc_arg $ seed_arg
-      $ attack_name_arg $ dips_arg $ conflicts_arg $ seconds_arg $ vectors_arg
-      $ metrics_arg)
+      const attack_run $ job_socket_arg $ priority_arg $ bench_arg $ style_arg
+      $ route_arg $ lgc_arg $ seed_arg $ attack_name_arg $ dips_arg
+      $ conflicts_arg $ seconds_arg $ vectors_arg $ metrics_arg)
 
 (* ---------------- battery ---------------- *)
 
-let battery_run benches schemes attack_names jobs seed dips conflicts seconds
-    vectors json metrics list_attacks =
+let battery_run socket priority benches schemes attack_names jobs seed dips
+    conflicts seconds vectors json metrics list_attacks =
+  let spec =
+    {
+      SP.benches;
+      schemes;
+      attacks = attack_names;
+      bt_seed = seed;
+      bt_dips = dips;
+      bt_conflicts = conflicts;
+      bt_seconds = seconds;
+      bt_vectors = vectors;
+    }
+  in
+  run_job socket priority (SP.Battery spec)
+    ~local_only:
+      [
+        ("-j", jobs <> None);
+        ("--list-attacks", list_attacks);
+        ("--metrics", metrics <> None);
+        ("text output (without --json)", not json);
+      ]
+  @@ fun () ->
   Option.iter Obs.write_at_exit metrics;
   if list_attacks then
     List.iter
@@ -343,25 +433,12 @@ let battery_run benches schemes attack_names jobs seed dips conflicts seconds
              (List.map A.Attack.capability_name a.A.Attack.capabilities))
           a.A.Attack.description)
       A.Battery.all
-  else begin
-    let spec =
-      {
-        SP.benches;
-        schemes;
-        attacks = attack_names;
-        bt_seed = seed;
-        bt_dips = dips;
-        bt_conflicts = conflicts;
-        bt_seconds = seconds;
-        bt_vectors = vectors;
-      }
-    in
+  else
     match SJ.battery_matrix ?jobs spec with
     | Error d -> die d
     | Ok m ->
         if json then print_string (SJ.battery_render_json m)
         else Format.printf "%a@." A.Battery.pp_matrix m
-  end
 
 let battery_cmd =
   let benches =
@@ -415,33 +492,17 @@ let battery_cmd =
           benchmarks and print the per-scheme x per-attack resilience \
           matrix.")
     Term.(
-      const battery_run $ benches $ schemes $ attacks $ jobs $ seed_arg
-      $ dips_arg $ conflicts_arg $ seconds_arg $ vectors_arg $ json
-      $ metrics_arg $ list_attacks)
+      const battery_run $ job_socket_arg $ priority_arg $ benches $ schemes
+      $ attacks $ jobs $ seed_arg $ dips_arg $ conflicts_arg $ seconds_arg
+      $ vectors_arg $ json $ metrics_arg $ list_attacks)
 
 (* ---------------- stats ---------------- *)
 
 let stats_run bench style route lgc seed attack =
   Obs.set_enabled true;
-  match netlist_of_bench bench with
-  | Error (`Msg m) -> dief "%s" m
-  | Ok nl ->
-      let route, lgc, label =
-        if route = [] && lgc = [] then
-          match default_tfr bench with
-          | Some t -> t
-          | None -> dief "no default TfR for this design: pass --route/--lgc"
-        else (route, lgc, String.concat "+" (route @ lgc))
-      in
-      let cfg =
-        {
-          (C.Flow.shell_config ~target:(C.Flow.Fixed { route; lgc; label }) ())
-          with
-          C.Flow.style;
-          seed;
-        }
-      in
-      let r = run_flow cfg nl in
+  match SJ.lock_flow (lock_spec bench style route lgc seed) with
+  | Error d -> die d
+  | Ok r ->
       if attack then begin
         let lk = C.Flow.locked_sub r in
         ignore
@@ -482,8 +543,21 @@ let stats_cmd =
 
 (* ---------------- fuzz ---------------- *)
 
-let fuzz_run metrics seed cases jobs oracle_names self_test no_shrink dir
-    list_oracles =
+let fuzz_run socket priority metrics seed cases jobs oracle_names self_test
+    no_shrink dir list_oracles =
+  run_job socket priority
+    (SP.Fuzz { SP.fz_seed = seed; cases })
+    ~local_only:
+      [
+        ("-j", jobs <> None);
+        ("--oracle", oracle_names <> []);
+        ("--self-test", self_test);
+        ("--dir", dir <> None);
+        ("--list-oracles", list_oracles);
+        ("--metrics", metrics <> None);
+        ("shrinking (without --no-shrink)", not no_shrink);
+      ]
+  @@ fun () ->
   Option.iter Obs.write_at_exit metrics;
   if list_oracles then
     List.iter
@@ -574,21 +648,36 @@ let fuzz_cmd =
           (sim vs SAT, passes vs Equiv, lock/unlock, emit round-trips). \
           Deterministic in --seed; exits 1 on any failure.")
     Term.(
-      const fuzz_run $ metrics_arg $ seed_arg $ cases $ jobs $ oracle
-      $ self_test $ no_shrink $ dir $ list_oracles)
+      const fuzz_run $ job_socket_arg $ priority_arg $ metrics_arg $ seed_arg
+      $ cases $ jobs $ oracle $ self_test $ no_shrink $ dir $ list_oracles)
 
 (* ---------------- lint ---------------- *)
 
 module Lint = Shell_lint.Lint
 module Rules = Shell_lint.Rules
 
-(* Rebuild the same subject the pipeline's lint pass checks, so the CLI
-   can re-lint a locked flow under a different severity floor, baseline
-   or job count. *)
-let lint_subject_of_result = SJ.lint_subject_of_result
-
-let lint_run metrics benches files locked style seed jobs json_out severity
-    baseline update_baseline list_rules =
+let lint_run socket priority metrics benches files locked style seed jobs
+    json_out severity baseline update_baseline list_rules =
+  run_job socket priority
+    (SP.Lint
+       {
+         SP.lint_benches = benches;
+         locked;
+         lint_style = SJ.style_id style;
+         lint_seed = seed;
+       })
+    ~local_only:
+      [
+        ("-i", files <> []);
+        ("-j", jobs <> None);
+        ("--severity " ^ severity, severity <> "info");
+        ("--baseline", baseline <> None);
+        ("--update-baseline", update_baseline);
+        ("--list-rules", list_rules);
+        ("--metrics", metrics <> None);
+        ("text output (without --json)", not json_out);
+      ]
+  @@ fun () ->
   Option.iter Obs.write_at_exit metrics;
   if list_rules then
     List.iter
@@ -617,18 +706,9 @@ let lint_run metrics benches files locked style seed jobs json_out severity
     if benches = [] && files = [] then
       dief "nothing to lint: pass -b BENCH and/or -i FILE";
     let bench_subjects =
-      List.map
-        (fun b ->
-          match netlist_of_bench b with
-          | Error (`Msg m) -> dief "%s" m
-          | Ok nl ->
-              if locked then
-                let cfg =
-                  { (C.Flow.shell_config ()) with C.Flow.style; seed }
-                in
-                lint_subject_of_result (run_flow cfg nl)
-              else Lint.subject nl)
-        benches
+      match SJ.lint_subjects ~locked ~style ~seed benches with
+      | Ok subjects -> subjects
+      | Error d -> die d
     in
     let file_subjects =
       List.map
@@ -644,25 +724,26 @@ let lint_run metrics benches files locked style seed jobs json_out severity
         (Lint.run ?jobs ~severity ~baseline:base_fps ~rules:Rules.all)
         (bench_subjects @ file_subjects)
     in
+    let plural n noun =
+      Printf.sprintf "%d %s%s" n noun (if n = 1 then "" else "s")
+    in
     (match baseline with
     | Some path when update_baseline ->
-        let buf = Buffer.create 4096 in
-        Buffer.add_string buf
-          "# shell lint baseline: one fingerprint per accepted finding\n";
-        let n = ref 0 in
-        List.iter
-          (fun (r : Lint.report) ->
-            List.iter
-              (fun f ->
-                incr n;
-                Buffer.add_string buf
-                  (Lint.baseline_line ~subject_name:r.Lint.subject_name f);
-                Buffer.add_char buf '\n')
-              r.Lint.findings)
-          reports;
-        write_file path (Buffer.contents buf);
-        Printf.printf "baseline written to %s (%d finding%s)\n" path !n
-          (if !n = 1 then "" else "s")
+        let lines =
+          List.concat_map
+            (fun (r : Lint.report) ->
+              List.map
+                (fun f ->
+                  Lint.baseline_line ~subject_name:r.Lint.subject_name f ^ "\n")
+                r.Lint.findings)
+            reports
+        in
+        write_file path
+          (String.concat ""
+             ("# shell lint baseline: one fingerprint per accepted finding\n"
+             :: lines));
+        Printf.printf "baseline written to %s (%s)\n" path
+          (plural (List.length lines) "finding")
     | _ -> ());
     let total f = List.fold_left (fun acc r -> acc + f r) 0 reports in
     if json_out then
@@ -670,17 +751,11 @@ let lint_run metrics benches files locked style seed jobs json_out severity
         (Shell_util.Jsonw.to_string ~indent:2 (Lint.reports_json reports))
     else begin
       List.iter (fun r -> Format.printf "%a@.@?" Lint.pp_report r) reports;
-      Printf.printf
-        "lint: %d subject%s, %d error%s, %d warning%s, %d note%s, %d \
-         suppressed\n"
-        (List.length reports)
-        (if List.length reports = 1 then "" else "s")
-        (total (fun r -> r.Lint.errors))
-        (if total (fun r -> r.Lint.errors) = 1 then "" else "s")
-        (total (fun r -> r.Lint.warns))
-        (if total (fun r -> r.Lint.warns) = 1 then "" else "s")
-        (total (fun r -> r.Lint.infos))
-        (if total (fun r -> r.Lint.infos) = 1 then "" else "s")
+      Printf.printf "lint: %s, %s, %s, %s, %d suppressed\n"
+        (plural (List.length reports) "subject")
+        (plural (total (fun r -> r.Lint.errors)) "error")
+        (plural (total (fun r -> r.Lint.warns)) "warning")
+        (plural (total (fun r -> r.Lint.infos)) "note")
         (total (fun r -> r.Lint.suppressed))
     end;
     if total (fun r -> r.Lint.errors) > 0 && not update_baseline then exit 1
@@ -757,9 +832,9 @@ let lint_cmd =
           well-formedness, the paper's locking invariants and \
           fabric/bitstream accounting. Exits 1 on unsuppressed errors.")
     Term.(
-      const lint_run $ metrics_arg $ benches $ files $ locked $ style_arg
-      $ seed_arg $ jobs $ json $ severity $ baseline $ update_baseline
-      $ list_rules)
+      const lint_run $ job_socket_arg $ priority_arg $ metrics_arg $ benches
+      $ files $ locked $ style_arg $ seed_arg $ jobs $ json $ severity
+      $ baseline $ update_baseline $ list_rules)
 
 (* ---------------- bench ---------------- *)
 
@@ -909,9 +984,6 @@ let socket_arg =
     & opt string "/tmp/shell-serve.sock"
     & info [ "socket" ] ~env ~docv:"ADDR" ~doc)
 
-let address_of_arg s =
-  match SS.address_of_string s with Ok a -> a | Error m -> dief "%s" m
-
 let serve_run socket queue_cap max_frame max_seconds cache_dir cache_max_bytes
     gc_only verbose =
   if gc_only then begin
@@ -1006,220 +1078,40 @@ let serve_cmd =
 
 (* ---------------- client ---------------- *)
 
-let priority_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "priority" ] ~docv:"N"
-        ~doc:"Queue priority: higher-priority jobs run first.")
-
-let with_daemon socket f =
-  let addr = address_of_arg socket in
-  match SC.with_connection addr f with
-  | r -> r
-  | exception Unix.Unix_error (e, _, _) ->
-      dief "cannot reach daemon at %s: %s (is `shell serve` running?)" socket
-        (Unix.error_message e)
-
-(* The response contract mirrors the direct CLI: Result bytes go to
-   stdout verbatim (byte-identical to the equivalent subcommand),
-   Rejected/Failed render on stderr with exit 1. *)
-let client_submit socket priority job =
-  match
-    with_daemon socket (fun c -> SC.submit c ~priority job)
-  with
-  | Ok (SP.Result { output; _ }) -> print_string output
-  | Ok (SP.Rejected { reason; _ }) -> dief "rejected: %s" reason
-  | Ok (SP.Failed { message; _ }) -> dief "%s" message
-  | Ok _ -> dief "unexpected response type from daemon"
-  | Error m -> dief "%s" m
-
-let client_lock_cmd =
-  let run socket priority bench style route lgc seed =
-    client_submit socket priority
-      (SP.Lock (lock_spec bench style route lgc seed))
-  in
-  Cmd.v
-    (Cmd.info "lock" ~doc:"Submit a lock job to the daemon.")
-    Term.(
-      const run $ socket_arg $ priority_arg $ bench_arg $ style_arg
-      $ route_arg $ lgc_arg $ seed_arg)
-
-let client_attack_cmd =
-  let run socket priority bench style route lgc seed attack dips conflicts
-      seconds vectors =
-    client_submit socket priority
-      (SP.Attack
-         {
-           SP.target = lock_spec bench style route lgc seed;
-           attack;
-           dips;
-           conflicts;
-           seconds;
-           vectors;
-         })
-  in
-  let attack_name_arg =
-    Arg.(
-      value & opt string "sat"
-      & info [ "a"; "attack" ] ~docv:"NAME" ~doc:"Registered attack to run.")
-  in
-  Cmd.v
-    (Cmd.info "attack" ~doc:"Submit an attack job to the daemon.")
-    Term.(
-      const run $ socket_arg $ priority_arg $ bench_arg $ style_arg
-      $ route_arg $ lgc_arg $ seed_arg $ attack_name_arg $ dips_arg
-      $ conflicts_arg $ seconds_arg $ vectors_arg)
-
-let client_battery_cmd =
-  let run socket priority benches schemes attacks seed dips conflicts seconds
-      vectors =
-    client_submit socket priority
-      (SP.Battery
-         {
-           SP.benches;
-           schemes;
-           attacks;
-           bt_seed = seed;
-           bt_dips = dips;
-           bt_conflicts = conflicts;
-           bt_seconds = seconds;
-           bt_vectors = vectors;
-         })
-  in
-  let benches =
-    Arg.(
-      value & opt_all string []
-      & info [ "b"; "benchmark" ] ~docv:"NAME"
-          ~doc:"Benchmark to lock and attack (repeatable).")
-  in
-  let schemes =
-    Arg.(
-      value
-      & opt_all string [ "xor:8"; "mux:8" ]
-      & info [ "scheme" ] ~docv:"SPEC"
-          ~doc:"Locking scheme spec (repeatable; default xor:8 and mux:8).")
-  in
-  let attacks =
-    Arg.(
-      value & opt_all string []
-      & info [ "a"; "attack" ] ~docv:"NAME"
-          ~doc:"Restrict to one registered attack (repeatable; default all).")
-  in
-  Cmd.v
-    (Cmd.info "battery"
-       ~doc:
-         "Submit a battery job to the daemon (response is the JSON matrix, \
-          byte-identical to `shell battery --json`).")
-    Term.(
-      const run $ socket_arg $ priority_arg $ benches $ schemes $ attacks
-      $ seed_arg $ dips_arg $ conflicts_arg $ seconds_arg $ vectors_arg)
-
-let client_fuzz_cmd =
-  let run socket priority seed cases =
-    client_submit socket priority (SP.Fuzz { SP.fz_seed = seed; cases })
-  in
-  let cases =
-    Arg.(
-      value & opt int 200
-      & info [ "n"; "cases" ] ~docv:"N" ~doc:"Number of random cases.")
-  in
-  Cmd.v
-    (Cmd.info "fuzz"
-       ~doc:"Submit a fuzz campaign to the daemon (no shrinking).")
-    Term.(const run $ socket_arg $ priority_arg $ seed_arg $ cases)
-
-let client_lint_cmd =
-  let run socket priority benches locked style seed =
-    client_submit socket priority
-      (SP.Lint
-         {
-           SP.lint_benches = benches;
-           locked;
-           lint_style = SJ.style_id style;
-           lint_seed = seed;
-         })
-  in
-  let benches =
-    Arg.(
-      value & opt_all string []
-      & info [ "b"; "benchmark" ] ~docv:"NAME"
-          ~doc:"Lint a bundled benchmark (repeatable).")
-  in
-  let locked =
-    Arg.(
-      value & flag
-      & info [ "locked" ] ~doc:"Run the SheLL flow first; lint the result.")
-  in
-  Cmd.v
-    (Cmd.info "lint"
-       ~doc:"Submit a lint job to the daemon (JSON report).")
-    Term.(
-      const run $ socket_arg $ priority_arg $ benches $ locked $ style_arg
-      $ seed_arg)
-
-let client_status_cmd =
+(* status, metrics, ping and shutdown: one request each, its answer
+   rendered on stdout *)
+let client_query name ~doc query =
   let run socket =
-    match with_daemon socket SC.status with
-    | Ok info ->
-        print_endline
-          (Shell_util.Jsonw.to_string ~indent:2 (SP.status_info_json info))
-    | Error m -> dief "%s" m
-  in
-  Cmd.v
-    (Cmd.info "status"
-       ~doc:
-         "Print the daemon's queue depth, job counts, cache hit rates and \
-          per-job-kind span summaries as JSON.")
-    Term.(const run $ socket_arg)
-
-let client_metrics_cmd =
-  let run socket =
-    match with_daemon socket SC.metrics with
+    match with_daemon socket query with
     | Ok text -> print_string text
     | Error m -> dief "%s" m
   in
-  Cmd.v
-    (Cmd.info "metrics"
-       ~doc:"Print the daemon's live metrics (Prometheus text format).")
-    Term.(const run $ socket_arg)
-
-let client_ping_cmd =
-  let run socket =
-    match with_daemon socket SC.ping with
-    | Ok v -> Printf.printf "pong (protocol v%d)\n" v
-    | Error m -> dief "%s" m
-  in
-  Cmd.v
-    (Cmd.info "ping" ~doc:"Check the daemon is alive.")
-    Term.(const run $ socket_arg)
-
-let client_shutdown_cmd =
-  let run socket =
-    match with_daemon socket SC.shutdown with
-    | Ok out -> print_string out
-    | Error m -> dief "%s" m
-  in
-  Cmd.v
-    (Cmd.info "shutdown" ~doc:"Ask the daemon to exit.")
-    Term.(const run $ socket_arg)
+  Cmd.v (Cmd.info name ~doc) Term.(const run $ socket_arg)
 
 let client_cmd =
   Cmd.group
     (Cmd.info "client"
        ~doc:
-         "Talk to a running `shell serve` daemon: submit jobs (stdout is \
-          byte-identical to the direct subcommand) or query \
-          status/metrics.")
+         "Talk to a running `shell serve` daemon: query its status or \
+          metrics, ping it or shut it down. Jobs go to the daemon with \
+          --socket on lock, attack, battery, fuzz and lint.")
     [
-      client_lock_cmd;
-      client_attack_cmd;
-      client_battery_cmd;
-      client_fuzz_cmd;
-      client_lint_cmd;
-      client_status_cmd;
-      client_metrics_cmd;
-      client_ping_cmd;
-      client_shutdown_cmd;
+      client_query "status"
+        ~doc:
+          "Print the daemon's queue depth, job counts, cache hit rates and \
+           per-job-kind span summaries as JSON."
+        (fun c ->
+          Result.map
+            (fun info ->
+              Shell_util.Jsonw.to_string ~indent:2 (SP.status_info_json info)
+              ^ "\n")
+            (SC.status c));
+      client_query "metrics"
+        ~doc:"Print the daemon's live metrics (Prometheus text format)."
+        SC.metrics;
+      client_query "ping" ~doc:"Check the daemon is alive." (fun c ->
+          Result.map (Printf.sprintf "pong (protocol v%d)\n") (SC.ping c));
+      client_query "shutdown" ~doc:"Ask the daemon to exit." SC.shutdown;
     ]
 
 (* ---------------- main ---------------- *)

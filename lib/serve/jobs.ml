@@ -28,6 +28,8 @@ let ( let* ) = Result.bind
    where the historical messages had no pass prefix. *)
 let errf fmt = Format.kasprintf (fun m -> Error (Diag.make m)) fmt
 
+type outcome = { output : string; ok : bool }
+
 (* ---------------- shared lookups ---------------- *)
 
 let netlist_of_bench name =
@@ -115,10 +117,6 @@ let lock_flow (s : P.lock_spec) =
 let lock_render (r : C.Flow.result) =
   Format.asprintf "%a@." C.Flow.pp_summary r
   ^ Printf.sprintf "verify: %s\n" (if C.Flow.verify r then "PASS" else "FAIL")
-
-let lock_output s =
-  let* r = lock_flow s in
-  Ok (lock_render r)
 
 (* ---------------- attack ---------------- *)
 
@@ -232,10 +230,6 @@ let battery_matrix ?jobs (b : P.battery_spec) =
 
 let battery_render_json m = J.to_string ~indent:2 (A.Battery.matrix_json m) ^ "\n"
 
-let battery_output ?jobs b =
-  let* m = battery_matrix ?jobs b in
-  Ok (battery_render_json m)
-
 (* ---------------- fuzz ---------------- *)
 
 (* Daemon fuzzing reports without shrinking or reproducer files: a
@@ -246,7 +240,10 @@ let fuzz_output ?jobs (f : P.fuzz_spec) =
     Fz.Runner.run ?jobs ~oracles:Fz.Oracles.all ~shrink:false ~seed:f.P.fz_seed
       ~cases:f.P.cases ()
   in
-  Ok (Format.asprintf "%a" Fz.Runner.pp_report report)
+  {
+    output = Format.asprintf "%a" Fz.Runner.pp_report report;
+    ok = Fz.Runner.ok report;
+  }
 
 (* ---------------- lint ---------------- *)
 
@@ -272,43 +269,51 @@ let lint_subject_of_result (r : C.Flow.result) =
     ~pnr:r.C.Flow.pnr
     ~shrunk:r.C.Flow.config.C.Flow.shrink r.C.Flow.locked_full
 
+let lint_subjects ~locked ~style ~seed benches =
+  let* subjects =
+    List.fold_left
+      (fun acc b ->
+        let* acc = acc in
+        let* nl = netlist_of_bench b in
+        let* subject =
+          if locked then
+            let cfg = { (C.Flow.shell_config ()) with C.Flow.style; seed } in
+            match C.Flow.run cfg nl with
+            | r -> Ok (lint_subject_of_result r)
+            | exception Diag.Error d -> Error d
+          else Ok (Lint.subject nl)
+        in
+        Ok (subject :: acc))
+      (Ok []) benches
+  in
+  Ok (List.rev subjects)
+
 let lint_output ?jobs (l : P.lint_spec) =
   let* style = style_of_string l.P.lint_style in
   if l.P.lint_benches = [] then errf "nothing to lint: pass -b BENCH"
   else
     let* subjects =
-      List.fold_left
-        (fun acc b ->
-          let* acc = acc in
-          let* nl = netlist_of_bench b in
-          let* subject =
-            if l.P.locked then
-              let cfg =
-                {
-                  (C.Flow.shell_config ()) with
-                  C.Flow.style;
-                  seed = l.P.lint_seed;
-                }
-              in
-              match C.Flow.run cfg nl with
-              | r -> Ok (lint_subject_of_result r)
-              | exception Diag.Error d -> Error d
-            else Ok (Lint.subject nl)
-          in
-          Ok (subject :: acc))
-        (Ok []) l.P.lint_benches
+      lint_subjects ~locked:l.P.locked ~style ~seed:l.P.lint_seed
+        l.P.lint_benches
     in
-    let reports =
-      List.map (Lint.run ?jobs ~rules:Rules.all) (List.rev subjects)
-    in
-    Ok (J.to_string ~indent:2 (Lint.reports_json reports) ^ "\n")
+    let reports = List.map (Lint.run ?jobs ~rules:Rules.all) subjects in
+    Ok
+      {
+        output = J.to_string ~indent:2 (Lint.reports_json reports) ^ "\n";
+        ok = List.for_all (fun r -> r.Lint.errors = 0) reports;
+      }
 
 (* ---------------- dispatch ---------------- *)
 
-let run ?jobs (job : P.job) : (string, Diag.t) result =
+let run ?jobs (job : P.job) =
+  let passed output = { output; ok = true } in
   match job with
-  | P.Lock s -> lock_output s
-  | P.Attack a -> attack_output a
-  | P.Battery b -> battery_output ?jobs b
-  | P.Fuzz f -> fuzz_output ?jobs f
+  | P.Lock s ->
+      let* r = lock_flow s in
+      Ok (passed (lock_render r))
+  | P.Attack a -> Result.map passed (attack_output a)
+  | P.Battery b ->
+      let* m = battery_matrix ?jobs b in
+      Ok (passed (battery_render_json m))
+  | P.Fuzz f -> Ok (fuzz_output ?jobs f)
   | P.Lint l -> lint_output ?jobs l

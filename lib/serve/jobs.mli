@@ -8,7 +8,6 @@
 
 module C = Shell_core
 module F = Shell_fabric
-module L = Shell_locking
 module A = Shell_attacks
 
 val netlist_of_bench :
@@ -24,26 +23,12 @@ val style_id : F.Style.t -> string
 
 val style_of_string : string -> (F.Style.t, Shell_util.Diag.t) result
 
-val locked_of_spec :
-  seed:int ->
-  Shell_netlist.Netlist.t ->
-  string ->
-  (L.Locked.t, Shell_util.Diag.t) result
-(** Parse-and-apply a pure locking scheme spec (xor:N, rlut:N, hlut:N,
-    mux:N, muxlut:N). *)
-
 val lock_flow :
   Protocol.lock_spec -> (C.Flow.result, Shell_util.Diag.t) result
 (** Resolve benchmark + TfR and run the full SheLL flow. *)
 
 val lock_render : C.Flow.result -> string
 (** The `shell lock` stdout bytes: summary + verify line. *)
-
-val lock_output : Protocol.lock_spec -> (string, Shell_util.Diag.t) result
-
-val attack_output :
-  Protocol.attack_spec -> (string, Shell_util.Diag.t) result
-(** The `shell attack` stdout bytes: banner + verdict. *)
 
 val battery_matrix :
   ?jobs:int ->
@@ -53,23 +38,27 @@ val battery_matrix :
 val battery_render_json : A.Battery.matrix -> string
 (** The `shell battery --json` stdout bytes. *)
 
-val battery_output :
-  ?jobs:int -> Protocol.battery_spec -> (string, Shell_util.Diag.t) result
+val lint_subjects :
+  locked:bool ->
+  style:F.Style.t ->
+  seed:int ->
+  string list ->
+  (Shell_lint.Lint.subject list, Shell_util.Diag.t) result
+(** One lint subject per bundled benchmark, in order. With [~locked]
+    each is first run through the default SheLL flow and linted with
+    its fabric, bitstream and selection artifacts — the subject the
+    pipeline's own lint pass checks. *)
 
-val fuzz_output :
-  ?jobs:int -> Protocol.fuzz_spec -> (string, Shell_util.Diag.t) result
-(** Full oracle battery, no shrinking, no reproducer files (a shared
-    daemon shouldn't write into its working directory for a remote
-    client). *)
+type outcome = {
+  output : string;  (** the stdout bytes of the equivalent command *)
+  ok : bool;
+      (** false when a lint report has errors or a fuzz campaign has
+          failures: the command exits 1 *)
+}
 
-val lint_subject_of_result : C.Flow.result -> Shell_lint.Lint.subject
-(** Rebuild the subject the pipeline's lint pass checks, artifacts
-    included. *)
-
-val lint_output :
-  ?jobs:int -> Protocol.lint_spec -> (string, Shell_util.Diag.t) result
-(** JSON lint report over bundled benchmarks (optionally locked
-    first). *)
-
-val run : ?jobs:int -> Protocol.job -> (string, Shell_util.Diag.t) result
-(** Dispatch any protocol job to its executor. *)
+val run : ?jobs:int -> Protocol.job -> (outcome, Shell_util.Diag.t) result
+(** Run any protocol job. The output is what the in-process command
+    prints for the same flags: `lock`, `attack`, `battery --json`,
+    `fuzz --no-shrink` (full oracle battery, no reproducer files: a
+    shared daemon shouldn't write into its working directory for a
+    remote client) and `lint --json`. *)

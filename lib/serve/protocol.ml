@@ -1,6 +1,6 @@
 module J = Shell_util.Jsonw
 
-let version = 1
+let version = 2
 
 type lock_spec = {
   bench : string;
@@ -76,7 +76,10 @@ type status_info = {
 }
 
 type response =
-  | Result of { id : int; output : string }
+  (* [ok] is false when a lint report has errors or a fuzz campaign has
+     failures: the client exits 1 exactly where the in-process command
+     does *)
+  | Result of { id : int; output : string; ok : bool }
   | Rejected of { id : int; reason : string }
   | Failed of { id : int; message : string }
   | Status_r of { id : int; info : status_info }
@@ -185,7 +188,8 @@ let status_info_json (i : status_info) =
     ]
 
 let response_json = function
-  | Result { id; output } -> msg "result" id [ ("output", J.Str output) ]
+  | Result { id; output; ok } ->
+      msg "result" id [ ("output", J.Str output); ("ok", J.Bool ok) ]
   | Rejected { id; reason } -> msg "rejected" id [ ("reason", J.Str reason) ]
   | Failed { id; message } -> msg "failed" id [ ("message", J.Str message) ]
   | Status_r { id; info } -> msg "status" id [ ("info", status_info_json info) ]
@@ -302,7 +306,7 @@ let job_of_json j =
       | k -> Error (Printf.sprintf "unknown job kind %S" k))
   | _ -> Error "job: expected a single-field object"
 
-(* Both decoders reject foreign protocol versions up front: a v2 peer
+(* Both decoders reject foreign protocol versions up front: a v1 peer
    gets one clean error instead of a cascade of missing-field noise. *)
 let check_version j =
   let* v = int_field "v" j in
@@ -371,7 +375,8 @@ let response_of_json j =
   match ty with
   | "result" ->
       let* output = str_field "output" j in
-      Ok (Result { id; output })
+      let* ok = bool_field "ok" j in
+      Ok (Result { id; output; ok })
   | "rejected" ->
       let* reason = str_field "reason" j in
       Ok (Rejected { id; reason })

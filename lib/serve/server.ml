@@ -145,7 +145,7 @@ let handle_request t c = function
   | P.Shutdown { id } ->
       logf t "serve: shutdown requested";
       t.stop <- true;
-      send c (P.Result { id; output = "shutting down\n" })
+      send c (P.Result { id; output = "shutting down\n"; ok = true })
   | P.Submit { id; priority; job } -> (
       let job = clamp_job t.cfg.max_seconds job in
       match Admission.push t.queue ~priority { pconn = c; pid = id; pjob = job }
@@ -257,9 +257,9 @@ let run_one_job t =
       in
       Hashtbl.replace t.stats.spans kind (runs + 1, total +. dt);
       (match result with
-      | Ok output ->
+      | Ok { Jobs.output; ok } ->
           t.stats.jobs_done <- t.stats.jobs_done + 1;
-          send pconn (P.Result { id = pid; output })
+          send pconn (P.Result { id = pid; output; ok })
       | Error d ->
           t.stats.jobs_failed <- t.stats.jobs_failed + 1;
           send pconn (P.Failed { id = pid; message = Diag.to_string d }))

@@ -287,8 +287,116 @@ let test_fabric_unused () =
 
 module Dataflow = Shell_lint.Dataflow
 module Odc = Shell_lint.Odc
-module Taint = Shell_lint.Taint
 module Simw = Shell_netlist.Simw
+
+(* The per-bit key-influence lattice, the reference model for
+   [Shell_lint.Taint.reached]: per net, the bitset of key bits that can
+   still functionally reach it. The lattice is (2^K, union) per net;
+   propagation is monotone, so sweeping to the least fixpoint
+   terminates (and handles sequential feedback and cycles). A
+   proven-constant net stays empty and a masked read contributes
+   nothing, exactly as in [reached]. *)
+module Taint = struct
+  let reached = Shell_lint.Taint.reached
+
+  let bpw = Sys.int_size
+
+  type t = {
+    nkeys : int;
+    w : int;  (** words per net *)
+    words : int array;  (** net-major bitset matrix, [n * w] *)
+  }
+
+  let bit_word b = b / bpw
+  let bit_mask b = 1 lsl (b mod bpw)
+
+  let tainted t ~net ~bit =
+    t.nkeys > 0
+    && net >= 0
+    && (net + 1) * t.w <= Array.length t.words
+    && t.words.((net * t.w) + bit_word bit) land bit_mask bit <> 0
+
+  let is_empty t net =
+    if t.w = 0 || net < 0 || (net + 1) * t.w > Array.length t.words then true
+    else begin
+      let empty = ref true in
+      for j = net * t.w to ((net + 1) * t.w) - 1 do
+        if t.words.(j) <> 0 then empty := false
+      done;
+      !empty
+    end
+
+  let net_taint t net =
+    let bits = ref [] in
+    for b = t.nkeys - 1 downto 0 do
+      if tainted t ~net ~bit:b then bits := b :: !bits
+    done;
+    !bits
+
+  let defaults ?values ?masks nl =
+    let values =
+      match values with Some v -> v | None -> Dataflow.const_values nl
+    in
+    let masks =
+      match masks with Some m -> m | None -> Odc.read_masks values nl
+    in
+    (values, masks)
+
+  let analyze ?values ?masks nl =
+    let n = N.num_nets nl in
+    let keys = N.keys nl in
+    let nkeys = List.length keys in
+    let w = (nkeys + bpw - 1) / bpw in
+    let words = Array.make (max (n * w) 1) 0 in
+    let t = { nkeys; w; words } in
+    if nkeys = 0 || n = 0 then t
+    else begin
+      let values, masks = defaults ?values ?masks nl in
+      List.iteri
+        (fun b (_, net) ->
+          if net >= 0 && net < n then
+            words.((net * w) + bit_word b) <-
+              words.((net * w) + bit_word b) lor bit_mask b)
+        keys;
+      let cells = N.cells nl in
+      let order =
+        match N.topo_order nl with
+        | o -> o
+        | exception Failure _ -> Array.init (Array.length cells) (fun i -> i)
+      in
+      let sweep () =
+        let changed = ref false in
+        Array.iter
+          (fun ci ->
+            let c = cells.(ci) in
+            let out = c.Cell.out in
+            (* a proven-constant output carries no key influence *)
+            if Dataflow.known values.(out) = None then
+              Array.iteri
+                (fun i net ->
+                  if not (Odc.masked masks ~cell:ci i) then
+                    for j = 0 to w - 1 do
+                      let s = words.((net * w) + j) in
+                      let d = words.((out * w) + j) in
+                      if s lor d <> d then begin
+                        words.((out * w) + j) <- s lor d;
+                        changed := true
+                      end
+                    done)
+                c.Cell.ins)
+          order;
+        !changed
+      in
+      (* each sweep that reports a change set at least one new bit, so
+         the loop runs at most n * nkeys sweeps (far fewer in practice:
+         topological order converges combinational logic in one) *)
+      let changed = ref true in
+      while !changed do
+        changed := sweep ()
+      done;
+      t
+    end
+end
 
 (* Brute-force ground truth: which outputs functionally depend on key
    bit [bit]? Exhaustive over every input vector (packed word-parallel

@@ -138,7 +138,13 @@ let sample_requests =
 
 let sample_responses =
   [
-    P.Result { id = 1; output = "summary\nwith \"quotes\" and \xf0\x9f\x98\x80\n" };
+    P.Result
+      {
+        id = 1;
+        output = "summary\nwith \"quotes\" and \xf0\x9f\x98\x80\n";
+        ok = true;
+      };
+    P.Result { id = 6; output = "lint: 1 error\n"; ok = false };
     P.Rejected { id = 2; reason = "queue_full depth=4 cap=4" };
     P.Failed { id = 0; message = "bad frame" };
     P.Status_r
@@ -199,17 +205,27 @@ let test_protocol_rejects () =
        Alcotest.(check string) "truncated frame"
          (Printf.sprintf "unexpected end of input at byte %d" cut) e);
   (* a foreign protocol version gets one clean error *)
-  (match P.request_of_frame "{\"v\":2,\"type\":\"ping\",\"id\":1}" with
+  let foreign = P.version + 1 in
+  (match
+     P.request_of_frame
+       (Printf.sprintf "{\"v\":%d,\"type\":\"ping\",\"id\":1}" foreign)
+   with
   | Ok _ -> Alcotest.fail "foreign version accepted"
   | Error e ->
-      Alcotest.(check bool) "names the version" true (contains e "version 2"));
+      Alcotest.(check bool) "names the version" true
+        (contains e (Printf.sprintf "version %d" foreign)));
   (* unknown request type / job kind *)
-  (match P.request_of_frame "{\"v\":1,\"type\":\"dance\",\"id\":1}" with
+  (match
+     P.request_of_frame
+       (Printf.sprintf "{\"v\":%d,\"type\":\"dance\",\"id\":1}" P.version)
+   with
   | Ok _ -> Alcotest.fail "unknown type accepted"
   | Error e -> Alcotest.(check bool) "names the type" true (contains e "dance"));
   match
     P.request_of_frame
-      "{\"v\":1,\"type\":\"submit\",\"id\":1,\"priority\":0,\"job\":{\"zap\":{}}}"
+      (Printf.sprintf
+         "{\"v\":%d,\"type\":\"submit\",\"id\":1,\"priority\":0,\"job\":{\"zap\":{}}}"
+         P.version)
   with
   | Ok _ -> Alcotest.fail "unknown job kind accepted"
   | Error e -> Alcotest.(check bool) "names the kind" true (contains e "zap")
@@ -284,22 +300,28 @@ let fir_spec =
       { P.bench = "FIR"; style = "openfpga"; route; lgc; seed = 1 }
   | None -> { P.bench = "FIR"; style = "openfpga"; route = []; lgc = []; seed = 1 }
 
-let submit_ok t job =
+(* a job's (output, ok) over the socket and in-process *)
+let submit_result t job =
   match Client.submit t job with
-  | Ok (P.Result { output; _ }) -> output
+  | Ok (P.Result { output; ok; _ }) -> (output, ok)
   | Ok (P.Rejected { reason; _ }) -> Alcotest.failf "rejected: %s" reason
   | Ok (P.Failed { message; _ }) -> Alcotest.failf "failed: %s" message
   | Ok _ -> Alcotest.fail "unexpected response kind"
   | Error e -> Alcotest.failf "transport error: %s" e
 
+let submit_ok t job = fst (submit_result t job)
+
+let run_local job =
+  match Jobs.run job with
+  | Ok o -> (o.Jobs.output, o.Jobs.ok)
+  | Error e ->
+      Alcotest.failf "in-process %s failed: %s" (P.job_kind job)
+        (Diag.to_string e)
+
 let test_server_lock_byte_identical () =
   Pipeline.clear_cache ();
   let addr, d = start_server Server.default_config in
-  let expected =
-    match Jobs.lock_output fir_spec with
-    | Ok s -> s
-    | Error e -> Alcotest.failf "direct lock failed: %s" (Diag.to_string e)
-  in
+  let expected = fst (run_local (P.Lock fir_spec)) in
   Client.with_connection addr (fun t ->
       (match Client.ping t with
       | Ok v -> Alcotest.(check int) "pong version" P.version v
@@ -322,11 +344,7 @@ let test_server_lock_byte_identical () =
 let test_server_concurrent_clients () =
   Pipeline.clear_cache ();
   let addr, d = start_server Server.default_config in
-  let expected =
-    match Jobs.lock_output fir_spec with
-    | Ok s -> s
-    | Error e -> Alcotest.failf "direct lock failed: %s" (Diag.to_string e)
-  in
+  let expected = fst (run_local (P.Lock fir_spec)) in
   let clients =
     List.init 4 (fun _ ->
         Domain.spawn (fun () ->
@@ -338,6 +356,89 @@ let test_server_concurrent_clients () =
         (Printf.sprintf "client %d byte-identical" i)
         expected (Domain.join c))
     clients;
+  stop_server addr d
+
+(* An attack verdict line ends its counts with the wall time
+   ("…, 0.11s"): the one field cap-bound budgets do not fix. Any word
+   that is a number followed by "s" is masked. *)
+let mask_wall_time s =
+  let mask w =
+    match String.index_opt w 's' with
+    | Some i when i > 0 && float_of_string_opt (String.sub w 0 i) <> None ->
+        "Ts" ^ String.sub w (i + 1) (String.length w - i - 1)
+    | _ -> w
+  in
+  String.split_on_char '\n' s
+  |> List.map (fun line ->
+         String.concat " " (List.map mask (String.split_on_char ' ' line)))
+  |> String.concat "\n"
+
+(* every job kind, not just lock: same bytes and same verdict over the
+   socket as in-process, at cap-bound budgets so no clock binds *)
+let test_server_every_kind_identical () =
+  Pipeline.clear_cache ();
+  let addr, d = start_server Server.default_config in
+  let jobs =
+    [
+      P.Attack
+        {
+          target = fir_spec;
+          attack = "sat";
+          dips = 2;
+          conflicts = 1000;
+          seconds = 120.0;
+          vectors = 256;
+        };
+      P.Battery
+        {
+          benches = [ "xbar" ];
+          schemes = [ "xor:8" ];
+          attacks = [];
+          bt_seed = 0x51e11;
+          bt_dips = 16;
+          bt_conflicts = 20_000;
+          bt_seconds = 120.0;
+          bt_vectors = 256;
+        };
+      P.Fuzz { fz_seed = 20230417; cases = 8 };
+      P.Lint
+        {
+          lint_benches = [ "FIR" ];
+          locked = false;
+          lint_style = "muxchain";
+          lint_seed = 0x51e11;
+        };
+    ]
+  in
+  Client.with_connection addr (fun t ->
+      List.iter
+        (fun job ->
+          let kind = P.job_kind job in
+          let out, ok = submit_result t job in
+          let out', ok' = run_local job in
+          Alcotest.(check string)
+            (kind ^ ": socket bytes = in-process bytes")
+            (mask_wall_time out') (mask_wall_time out);
+          Alcotest.(check bool) (kind ^ ": same verdict") ok' ok;
+          Alcotest.(check bool) (kind ^ ": ok") true ok)
+        jobs;
+      (* locked FIR on the openfpga style routes through cyclic mux
+         chains: two lint errors, so the result carries ok = false *)
+      let lint_openfpga =
+        P.Lint
+          {
+            lint_benches = [ "FIR" ];
+            locked = true;
+            lint_style = "openfpga";
+            lint_seed = 0x51e11;
+          }
+      in
+      let out, ok = submit_result t lint_openfpga in
+      Alcotest.(check bool) "openfpga lint: not ok" false ok;
+      Alcotest.(check bool) "openfpga lint: two errors" true
+        (contains out "\"errors\": 2,");
+      Alcotest.(check string) "openfpga lint: in-process bytes"
+        (fst (run_local lint_openfpga)) out);
   stop_server addr d
 
 (* raw-socket helpers for the breach / pipelining tests (the Client
@@ -619,6 +720,8 @@ let suite =
     ("store gc size cap", `Quick, test_store_gc);
     ("server lock byte-identical", `Quick, test_server_lock_byte_identical);
     ("server concurrent clients", `Quick, test_server_concurrent_clients);
+    ("server every job kind identical", `Quick,
+     test_server_every_kind_identical);
     ("server queue full", `Quick, test_server_queue_full);
     ("server breach closes", `Quick, test_server_breach_closes);
     ("server restart warm from disk", `Quick,
