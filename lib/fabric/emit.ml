@@ -33,7 +33,9 @@ type ctx = {
   bs : Bitstream.t;
   net_map : int array;  (* src net -> dst net *)
   level : int array;  (* src net -> topo level *)
-  mutable pool : (int * int) list;  (* (src net, level) candidate sources *)
+  pool_net : int array;  (* candidate source nets (src), setup order *)
+  pool_level : int array;  (* their levels *)
+  legal : int array;  (* decoy buffer: pool indices, reused per pick *)
   mutable next_key : int;
   mutable route_mux2 : int;
   mutable route_mux4 : int;
@@ -113,26 +115,29 @@ let route_mux ctx ~label ~origin ~cand_levels ~sink_level cands true_pos =
 
 (* Choose [flex] candidates for a source net: the true source plus
    decoys from the pool, position randomized. Non-cyclical styles only
-   accept decoys from strictly lower levels than [sink_level]. *)
+   accept decoys from strictly lower levels than [sink_level]. The legal
+   decoys are filtered into [ctx.legal] in pool order and only that
+   prefix is shuffled: the same draws as shuffling a fresh array of the
+   legal decoys, without building one per pick. *)
 let pick_candidates ctx ~flex ~sink_level true_net =
-  let legal =
-    if ctx.style.Style.cyclic_routing then
-      List.filter (fun (n, _) -> n <> true_net) ctx.pool
-    else
-      List.filter
-        (fun (n, lv) -> n <> true_net && lv < sink_level)
-        ctx.pool
-  in
-  let legal = Array.of_list legal in
-  Rng.shuffle ctx.rng legal;
-  let n_decoys = min (flex - 1) (Array.length legal) in
+  let cyclic = ctx.style.Style.cyclic_routing in
+  let n_legal = ref 0 in
+  for p = 0 to Array.length ctx.pool_net - 1 do
+    if ctx.pool_net.(p) <> true_net && (cyclic || ctx.pool_level.(p) < sink_level)
+    then begin
+      ctx.legal.(!n_legal) <- p;
+      incr n_legal
+    end
+  done;
+  Rng.shuffle_prefix ctx.rng ctx.legal !n_legal;
+  let n_decoys = min (flex - 1) !n_legal in
   let cands = Array.make (n_decoys + 1) (ctx.net_map.(true_net)) in
   let levels = Array.make (n_decoys + 1) (-1) in
   (* the true source can never close a cycle: tag it level -1 *)
   for i = 0 to n_decoys - 1 do
-    let net, lv = legal.(i) in
-    cands.(i + 1) <- ctx.net_map.(net);
-    levels.(i + 1) <- lv
+    let p = ctx.legal.(i) in
+    cands.(i + 1) <- ctx.net_map.(ctx.pool_net.(p));
+    levels.(i + 1) <- ctx.pool_level.(p)
   done;
   let true_pos = Rng.int ctx.rng (Array.length cands) in
   let swap arr =
@@ -198,6 +203,39 @@ let emit ~style ?(seed = 0xfab) ?(force_acyclic = false) src =
           1 + Array.fold_left (fun m n -> max m level.(n)) 0 c.Cell.ins)
     order;
   let dst = Netlist.create (Netlist.name src ^ "_efpga") in
+  let net_map = Array.make (max (Netlist.num_nets src) 1) (-1) in
+  (* (src net, level) candidate sources, most recent first *)
+  let pool = ref [] in
+  List.iter
+    (fun (nm, net) ->
+      net_map.(net) <- Netlist.add_input dst nm;
+      pool := (net, 0) :: !pool)
+    (Netlist.inputs src);
+  (* sequential outputs are sources: reserve nets, add to pool *)
+  Array.iter
+    (fun c ->
+      if Cell.is_sequential c.Cell.kind then begin
+        net_map.(c.Cell.out) <- Netlist.new_net dst;
+        pool := (c.Cell.out, 0) :: !pool
+      end)
+    cells;
+  (* pre-register every combinational cell output in the pool so cyclic
+     styles can pick downstream decoys; reserve dst nets lazily *)
+  let reserve net =
+    if net_map.(net) = -1 then net_map.(net) <- Netlist.new_net dst
+  in
+  Array.iter
+    (fun c ->
+      match c.Cell.kind with
+      | Cell.Lut _ | Cell.Mux2 | Cell.Mux4 ->
+          reserve c.Cell.out;
+          pool := (c.Cell.out, level.(c.Cell.out)) :: !pool
+      | Cell.Const _ ->
+          (* constants are hostable but not offered as routing decoys *)
+          reserve c.Cell.out
+      | _ -> ())
+    cells;
+  let pool = Array.of_list !pool in
   let ctx =
     {
       style = p;
@@ -205,9 +243,11 @@ let emit ~style ?(seed = 0xfab) ?(force_acyclic = false) src =
       src;
       dst;
       bs = Bitstream.builder ();
-      net_map = Array.make (max (Netlist.num_nets src) 1) (-1);
+      net_map;
       level;
-      pool = [];
+      pool_net = Array.map fst pool;
+      pool_level = Array.map snd pool;
+      legal = Array.make (Array.length pool) 0;
       next_key = 0;
       route_mux2 = 0;
       route_mux4 = 0;
@@ -219,35 +259,6 @@ let emit ~style ?(seed = 0xfab) ?(force_acyclic = false) src =
       cycle_blocks = [];
     }
   in
-  List.iter
-    (fun (nm, net) ->
-      ctx.net_map.(net) <- Netlist.add_input dst nm;
-      ctx.pool <- (net, 0) :: ctx.pool)
-    (Netlist.inputs src);
-  (* sequential outputs are sources: reserve nets, add to pool *)
-  Array.iter
-    (fun c ->
-      if Cell.is_sequential c.Cell.kind then begin
-        ctx.net_map.(c.Cell.out) <- Netlist.new_net dst;
-        ctx.pool <- (c.Cell.out, 0) :: ctx.pool
-      end)
-    cells;
-  (* pre-register every combinational cell output in the pool so cyclic
-     styles can pick downstream decoys; reserve dst nets lazily *)
-  let reserve net =
-    if ctx.net_map.(net) = -1 then ctx.net_map.(net) <- Netlist.new_net dst
-  in
-  Array.iter
-    (fun c ->
-      match c.Cell.kind with
-      | Cell.Lut _ | Cell.Mux2 | Cell.Mux4 ->
-          reserve c.Cell.out;
-          ctx.pool <- (c.Cell.out, level.(c.Cell.out)) :: ctx.pool
-      | Cell.Const _ ->
-          (* constants are hostable but not offered as routing decoys *)
-          reserve c.Cell.out
-      | _ -> ())
-    cells;
   let used_luts = ref 0 and used_chain = ref 0 in
   let connect_out src_net dst_net ~origin =
     (* the computed function must land on the reserved net *)

@@ -286,55 +286,87 @@ let fingerprint t =
    from the driver of each input net of a combinational cell to that
    cell. Sequential cells are sources (their output depends on the past
    only) but their inputs still have to be produced, so they appear in
-   the order too, after their input cone. *)
+   the order too, after their input cone — the combinational cells form
+   a prefix of the order.
+
+   Successors live in CSR form ([succ_start]/[succ]) and the FIFO is an
+   int array. Cell [i]'s successors are filled in edge order and visited
+   latest-first: that visiting order fixes the topological order every
+   consumer (emission levels, simulation, costing) sees, so it must not
+   change. *)
 let topo_order t =
   let n = num_cells t in
   let d = driver_table t in
+  let is_seq i = Cell.is_sequential (Vec.get t.cells i).Cell.kind in
+  let comb_driver net =
+    match d.(net) with -1 -> -1 | j -> if is_seq j then -1 else j
+  in
   let indeg = Array.make n 0 in
-  let succs = Array.make n [] in
+  let succ_start = Array.make (n + 1) 0 in
+  let n_comb = ref 0 in
   for i = 0 to n - 1 do
-    let c = Vec.get t.cells i in
-    if not (Cell.is_sequential c.Cell.kind) then
-      Array.iter
-        (fun net ->
-          match d.(net) with
-          | -1 -> ()
-          | j ->
-              let cj = Vec.get t.cells j in
-              if not (Cell.is_sequential cj.Cell.kind) then begin
-                indeg.(i) <- indeg.(i) + 1;
-                succs.(j) <- i :: succs.(j)
-              end)
-        c.Cell.ins
+    if not (is_seq i) then begin
+      incr n_comb;
+      let ins = (Vec.get t.cells i).Cell.ins in
+      for k = 0 to Array.length ins - 1 do
+        let j = comb_driver ins.(k) in
+        if j >= 0 then begin
+          indeg.(i) <- indeg.(i) + 1;
+          succ_start.(j + 1) <- succ_start.(j + 1) + 1
+        end
+      done
+    end
   done;
-  let queue = Queue.create () in
+  for j = 0 to n - 1 do
+    succ_start.(j + 1) <- succ_start.(j + 1) + succ_start.(j)
+  done;
+  let succ = Array.make succ_start.(n) 0 in
+  let fill = Array.sub succ_start 0 (max n 1) in
+  for i = 0 to n - 1 do
+    if not (is_seq i) then begin
+      let ins = (Vec.get t.cells i).Cell.ins in
+      for k = 0 to Array.length ins - 1 do
+        let j = comb_driver ins.(k) in
+        if j >= 0 then begin
+          succ.(fill.(j)) <- i;
+          fill.(j) <- fill.(j) + 1
+        end
+      done
+    end
+  done;
+  (* [order] doubles as the FIFO: cells are appended at [tail] and
+     popped at [head], so the popped prefix is the order itself. *)
+  let order = Array.make n 0 in
+  let tail = ref 0 in
+  for i = 0 to n - 1 do
+    if (not (is_seq i)) && indeg.(i) = 0 then begin
+      order.(!tail) <- i;
+      incr tail
+    end
+  done;
+  let head = ref 0 in
+  while !head < !tail do
+    let i = order.(!head) in
+    incr head;
+    for e = succ_start.(i + 1) - 1 downto succ_start.(i) do
+      let j = succ.(e) in
+      indeg.(j) <- indeg.(j) - 1;
+      if indeg.(j) = 0 then begin
+        order.(!tail) <- j;
+        incr tail
+      end
+    done
+  done;
+  if !tail <> !n_comb then failwith "Netlist.topo_order: combinational cycle";
   (* Sequential cells go last; their combinational input cone is already
      ordered, and nothing combinational depends on ordering them early. *)
   for i = 0 to n - 1 do
-    let c = Vec.get t.cells i in
-    if (not (Cell.is_sequential c.Cell.kind)) && indeg.(i) = 0 then
-      Queue.add i queue
+    if is_seq i then begin
+      order.(!tail) <- i;
+      incr tail
+    end
   done;
-  let order = Vec.create () in
-  while not (Queue.is_empty queue) do
-    let i = Queue.pop queue in
-    Vec.push order i;
-    List.iter
-      (fun j ->
-        indeg.(j) <- indeg.(j) - 1;
-        if indeg.(j) = 0 then Queue.add j queue)
-      succs.(i)
-  done;
-  let n_comb = ref 0 in
-  for i = 0 to n - 1 do
-    if not (Cell.is_sequential (Vec.get t.cells i).Cell.kind) then incr n_comb
-  done;
-  if Vec.length order <> !n_comb then
-    failwith "Netlist.topo_order: combinational cycle";
-  for i = 0 to n - 1 do
-    if Cell.is_sequential (Vec.get t.cells i).Cell.kind then Vec.push order i
-  done;
-  Vec.to_array order
+  order
 
 let has_comb_cycle t =
   match topo_order t with _ -> false | exception Failure _ -> true

@@ -132,8 +132,9 @@ val fingerprint : t -> string
 
 val topo_order : t -> int array
 (** Indices of all cells in topological order, where sequential cell
-    outputs count as sources. Raises [Failure] if the combinational
-    part is cyclic. *)
+    outputs count as sources. The combinational cells come first; the
+    sequential cells close the order, in netlist order. Raises
+    [Failure] if the combinational part is cyclic. *)
 
 val has_comb_cycle : t -> bool
 

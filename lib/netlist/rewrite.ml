@@ -1,15 +1,23 @@
-(* Rebuild a netlist keeping a subset of cells, with an optional net
-   substitution applied first. Net ids are compacted. *)
-let rebuild nl ~subst ~keep =
-  let resolve net =
-    (* follow the substitution chain (buffer chains) *)
-    let rec go net seen =
-      match subst net with
-      | Some net' when net' <> net && seen < Netlist.num_nets nl ->
-          go net' (seen + 1)
-      | _ -> net
-    in
-    go net 0
+(* Rebuild a netlist keeping the cells flagged in [keep], with an
+   optional net substitution applied first ([subst.(net)] is the net
+   that replaces [net], -1 for none). Net ids are compacted. *)
+let rebuild ?subst nl ~keep =
+  let n_nets = Netlist.num_nets nl in
+  let resolve =
+    match subst with
+    | None -> Fun.id
+    | Some subst ->
+        (* follow the substitution chain (buffer chains) *)
+        fun net ->
+          let net = ref net and seen = ref 0 in
+          while
+            let s = subst.(!net) in
+            s <> -1 && s <> !net && !seen < n_nets
+          do
+            net := subst.(!net);
+            incr seen
+          done;
+          !net
   in
   let out = Netlist.create (Netlist.name nl) in
   let mapping = Array.make (max (Netlist.num_nets nl) 1) (-1) in
@@ -28,7 +36,7 @@ let rebuild nl ~subst ~keep =
   in
   Array.iteri
     (fun i c ->
-      if keep i then
+      if keep.(i) then
         Netlist.add_cell out
           (Cell.make ~origin:c.Cell.origin c.Cell.kind
              (Array.map map_net c.Cell.ins)
@@ -48,9 +56,8 @@ let sweep_buffers nl =
       | Cell.Buf -> subst_tbl.(c.Cell.out) <- c.Cell.ins.(0)
       | _ -> ())
     cells;
-  let subst net = if subst_tbl.(net) = -1 then None else Some subst_tbl.(net) in
-  let keep i = cells.(i).Cell.kind <> Cell.Buf in
-  rebuild nl ~subst ~keep
+  let keep = Array.map (fun c -> c.Cell.kind <> Cell.Buf) cells in
+  rebuild nl ~subst:subst_tbl ~keep
 
 let dead_cell_elim nl =
   let cells = Netlist.cells nl in
@@ -78,6 +85,6 @@ let dead_cell_elim nl =
     let i = Queue.pop queue in
     Array.iter mark_driver cells.(i).Cell.ins
   done;
-  rebuild nl ~subst:(fun _ -> None) ~keep:(fun i -> live.(i))
+  rebuild nl ~keep:live
 
 let clean nl = dead_cell_elim (sweep_buffers nl)

@@ -16,7 +16,7 @@ module Obs = Shell_util.Obs
 
 type t = {
   netlist : Netlist.t;
-  comb_order : int array;  (* topo order, sequential cells filtered out *)
+  comb_order : int array;  (* topo order without its sequential tail *)
   cells : Cell.t array;
   nets : int array;
   dff_state : int array;  (* indexed by position in [seq_cells]; per-lane *)
@@ -55,11 +55,10 @@ let create ?config netlist =
           invalid_arg "Simw.create: config length mismatch";
         Array.map broadcast c
   in
+  (* sequential cells close the topo order: the rest is its prefix *)
   let comb_order =
-    Array.of_seq
-      (Seq.filter
-         (fun ci -> not (Cell.is_sequential cells.(ci).Cell.kind))
-         (Array.to_seq order))
+    Array.sub order 0
+      (Array.length order - Array.length seq_cells - Array.length latch_cells)
   in
   {
     netlist;

@@ -1,78 +1,99 @@
 module Truthtab = Shell_util.Truthtab
 
-type fact = Unknown | Const of bool | Alias of int
+(* Facts are int-coded per net: [unknown], a constant ([const_code b]),
+   or an alias (the net id, >= 0) whose root carries the fact. Values
+   read through [value] are -1 (unknown) or 0/1 (constant). *)
+let unknown = -1
+
+let const_code b = -2 - Bool.to_int b
 
 let bind_keys nl key =
   let key_nets = Netlist.key_nets nl in
   if Array.length key <> Array.length key_nets then
     invalid_arg "Specialize.bind_keys: key length mismatch";
   let n_nets = max (Netlist.num_nets nl) 1 in
-  let facts = Array.make n_nets Unknown in
-  Array.iteri (fun i net -> facts.(net) <- Const key.(i)) key_nets;
+  let fact = Array.make n_nets unknown in
+  Array.iteri (fun i net -> fact.(net) <- const_code key.(i)) key_nets;
   (* resolve through alias chains, path-compressing as we go *)
   let rec resolve net =
-    match facts.(net) with
-    | Alias net' ->
-        let root = resolve net' in
-        if root <> net' then facts.(net) <- Alias root;
-        root
-    | Unknown | Const _ -> net
+    let f = fact.(net) in
+    if f >= 0 then begin
+      let root = resolve f in
+      if root <> f then fact.(net) <- root;
+      root
+    end
+    else net
   in
   let value net =
-    match facts.(resolve net) with Const b -> Some b | Unknown | Alias _ -> None
+    let f = fact.(resolve net) in
+    if f <= -2 then -2 - f else -1
   in
   let cells = Netlist.cells nl in
   let folded = Array.make (Array.length cells) false in
+  let learn i (c : Cell.t) code =
+    folded.(i) <- true;
+    fact.(c.Cell.out) <- code;
+    true
+  in
+  let alias i c net = learn i c (resolve net) in
+  let const i c b = learn i c (const_code b) in
   (* Try to fold one cell; true if a new fact was learned. *)
   let try_fold i (c : Cell.t) =
     if folded.(i) || Cell.is_sequential c.Cell.kind then false
     else begin
       let ins = c.Cell.ins in
-      let v j = value ins.(j) in
-      let learn fact =
-        folded.(i) <- true;
-        (match fact with
-        | Alias net -> facts.(c.Cell.out) <- Alias (resolve net)
-        | other -> facts.(c.Cell.out) <- other);
-        true
-      in
-      let vals = Array.init (Array.length ins) v in
-      let all_const = Array.for_all Option.is_some vals in
-      if all_const && Array.length ins > 0 then
-        learn (Const (Cell.eval c.Cell.kind (Array.map Option.get vals)))
+      let n = Array.length ins in
+      let k = ref 0 in
+      while !k < n && value ins.(!k) >= 0 do
+        incr k
+      done;
+      if n > 0 && !k = n then
+        const i c (Cell.eval c.Cell.kind (Array.map (fun net -> value net = 1) ins))
       else
-        match (c.Cell.kind, vals) with
-        | Cell.Const b, _ -> learn (Const b)
-        | Cell.Buf, _ -> learn (Alias ins.(0))
-        | Cell.And, [| Some false; _ |] | Cell.And, [| _; Some false |] ->
-            learn (Const false)
-        | Cell.And, [| Some true; _ |] -> learn (Alias ins.(1))
-        | Cell.And, [| _; Some true |] -> learn (Alias ins.(0))
-        | Cell.Or, [| Some true; _ |] | Cell.Or, [| _; Some true |] ->
-            learn (Const true)
-        | Cell.Or, [| Some false; _ |] -> learn (Alias ins.(1))
-        | Cell.Or, [| _; Some false |] -> learn (Alias ins.(0))
-        | Cell.Nand, [| Some false; _ |] | Cell.Nand, [| _; Some false |] ->
-            learn (Const true)
-        | Cell.Nor, [| Some true; _ |] | Cell.Nor, [| _; Some true |] ->
-            learn (Const false)
-        | Cell.Xor, [| Some false; _ |] -> learn (Alias ins.(1))
-        | Cell.Xor, [| _; Some false |] -> learn (Alias ins.(0))
-        | Cell.Xnor, [| Some true; _ |] -> learn (Alias ins.(1))
-        | Cell.Xnor, [| _; Some true |] -> learn (Alias ins.(0))
-        | Cell.Mux2, [| Some s; _; _ |] -> learn (Alias ins.(if s then 2 else 1))
-        | Cell.Mux2, _ when resolve ins.(1) = resolve ins.(2) ->
-            learn (Alias ins.(1))
-        | Cell.Mux4, [| Some s0; Some s1; _; _; _; _ |] ->
-            let idx = 2 + ((if s0 then 1 else 0) lor if s1 then 2 else 0) in
-            learn (Alias ins.(idx))
+        match c.Cell.kind with
+        | Cell.Const b -> const i c b
+        | Cell.Buf -> alias i c ins.(0)
+        | (Cell.And | Cell.Or | Cell.Nand | Cell.Nor | Cell.Xor | Cell.Xnor) when n = 2
+          -> (
+            let a = value ins.(0) and b = value ins.(1) in
+            match c.Cell.kind with
+            | Cell.And ->
+                if a = 0 || b = 0 then const i c false
+                else if a = 1 then alias i c ins.(1)
+                else if b = 1 then alias i c ins.(0)
+                else false
+            | Cell.Or ->
+                if a = 1 || b = 1 then const i c true
+                else if a = 0 then alias i c ins.(1)
+                else if b = 0 then alias i c ins.(0)
+                else false
+            | Cell.Nand -> (a = 0 || b = 0) && const i c true
+            | Cell.Nor -> (a = 1 || b = 1) && const i c false
+            | Cell.Xor ->
+                if a = 0 then alias i c ins.(1)
+                else if b = 0 then alias i c ins.(0)
+                else false
+            | _ (* Xnor *) ->
+                if a = 1 then alias i c ins.(1)
+                else if b = 1 then alias i c ins.(0)
+                else false)
+        | Cell.Mux2 when n = 3 ->
+            let s = value ins.(0) in
+            if s >= 0 then alias i c ins.(if s = 1 then 2 else 1)
+            else if resolve ins.(1) = resolve ins.(2) then alias i c ins.(1)
+            else false
+        | Cell.Mux4 when n = 6 ->
+            let s0 = value ins.(0) and s1 = value ins.(1) in
+            s0 >= 0 && s1 >= 0 && alias i c ins.(2 + (s0 lor (s1 lsl 1)))
         | _ -> false
     end
   in
   let changed = ref true in
   while !changed do
     changed := false;
-    Array.iteri (fun i c -> if try_fold i c then changed := true) cells
+    for i = 0 to Array.length cells - 1 do
+      if try_fold i cells.(i) then changed := true
+    done
   done;
   (* rebuild without the folded cells and without key ports *)
   let out = Netlist.create (Netlist.name nl) in
@@ -81,17 +102,17 @@ let bind_keys nl key =
   List.iter
     (fun (nm, net) -> mapping.(net) <- Netlist.add_input out nm)
     (Netlist.inputs nl);
-  let rec map_net net =
+  let map_net net =
     let net = resolve net in
-    match facts.(net) with
-    | Const b ->
-        let i = Bool.to_int b in
-        if const_net.(i) = -1 then const_net.(i) <- Netlist.const out b;
-        const_net.(i)
-    | Alias _ -> map_net net  (* resolved above; unreachable *)
-    | Unknown ->
-        if mapping.(net) = -1 then mapping.(net) <- Netlist.new_net out;
-        mapping.(net)
+    let v = value net in
+    if v >= 0 then begin
+      if const_net.(v) = -1 then const_net.(v) <- Netlist.const out (v = 1);
+      const_net.(v)
+    end
+    else begin
+      if mapping.(net) = -1 then mapping.(net) <- Netlist.new_net out;
+      mapping.(net)
+    end
   in
   Array.iteri
     (fun i c ->

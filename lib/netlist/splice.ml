@@ -20,10 +20,12 @@ let replace_cells parent ~remove ~replacement ~input_binding ~output_binding =
     if rmap.(net) = -1 then rmap.(net) <- Netlist.new_net out;
     rmap.(net)
   in
+  let repl_inputs = Netlist.inputs replacement in
+  let repl_outputs = Netlist.outputs replacement in
   (* bind replacement inputs onto parent nets: identify the nets *)
   List.iter
     (fun (port, parent_net) ->
-      match List.assoc_opt port (Netlist.inputs replacement) with
+      match List.assoc_opt port repl_inputs with
       | None -> invalid_arg ("Splice: replacement has no input " ^ port)
       | Some rnet ->
           if rmap.(rnet) <> -1 then invalid_arg ("Splice: input bound twice: " ^ port);
@@ -34,7 +36,7 @@ let replace_cells parent ~remove ~replacement ~input_binding ~output_binding =
     (fun (nm, rnet) ->
       if rmap.(rnet) = -1 then
         invalid_arg ("Splice: replacement input unbound: " ^ nm))
-    (Netlist.inputs replacement);
+    repl_inputs;
   (* surviving parent cells *)
   Array.iteri
     (fun i c ->
@@ -55,7 +57,7 @@ let replace_cells parent ~remove ~replacement ~input_binding ~output_binding =
   (* replacement outputs drive the orphaned parent nets via buffers *)
   List.iter
     (fun (port, parent_net) ->
-      match List.assoc_opt port (Netlist.outputs replacement) with
+      match List.assoc_opt port repl_outputs with
       | None -> invalid_arg ("Splice: replacement has no output " ^ port)
       | Some rnet ->
           Netlist.add_cell out

@@ -161,9 +161,9 @@ let attack_output (a : P.attack_spec) =
       Buffer.add_string buf
         (Printf.sprintf
            "BROKEN: key recovered in %d iterations, %d oracle queries, %d \
-            conflicts, %.2fs\n"
+            conflicts\n"
            st.A.Attack.iterations st.A.Attack.oracle_queries
-           st.A.Attack.conflicts st.A.Attack.elapsed);
+           st.A.Attack.conflicts);
       Buffer.add_string buf (detail_string st.A.Attack.detail);
       Buffer.add_string buf
         (Printf.sprintf "hamming distance to real bitstream: %d / %d\n"
@@ -173,9 +173,9 @@ let attack_output (a : P.attack_spec) =
       Buffer.add_string buf
         (Printf.sprintf
            "RESILIENT within budget (%d iterations, %d oracle queries, %d \
-            conflicts, %.2fs; %d/%d bits recovered)\n"
+            conflicts; %d/%d bits recovered)\n"
            st.A.Attack.iterations st.A.Attack.oracle_queries
-           st.A.Attack.conflicts st.A.Attack.elapsed st.A.Attack.recovered_bits
+           st.A.Attack.conflicts st.A.Attack.recovered_bits
            st.A.Attack.key_bits);
       Buffer.add_string buf (detail_string st.A.Attack.detail)
   | A.Attack.Inapplicable why ->

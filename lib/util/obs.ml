@@ -268,46 +268,67 @@ type span = {
   children : span list;
 }
 
-(* open spans accumulate children/counters newest-first; [freeze]
-   restores recording order for the public view *)
-type open_span = {
-  sname : string;
-  mutable acc : (string * int) list;
-  mutable kids : span list;
-}
+(* An open span records its counters, finished children and fan-outs
+   in one newest-first list; [freeze] restores recording order for the
+   public view. A fan-out ([Fan]) reserves one slot per pool task at the
+   point the batch was submitted: whatever a task records with no local
+   span open lands in its own slot, and [freeze] reads the slots in
+   task-index order. The tree therefore has the line order of a
+   sequential run however the tasks were scheduled. *)
+type item = Count of string * int | Kid of span | Fan of item list array
 
-(* [parent] is a borrowed open span of {e another} stack: a pool worker
-   running a task on behalf of a caller whose span is still open. Spans
-   and counters completing with an empty local stack attach there (under
-   [foreign_mutex], since several workers may share one parent) instead
-   of becoming roots — so a fan-out's span tree has the same shape at
-   any job count. *)
-type stack = { mutable stack : open_span list; mutable parent : open_span option }
+type open_span = { sname : string; mutable items : item list }
+
+(* [parent] is a borrowed slot of {e another} stack's fan-out (or of a
+   root-level one): a pool worker running task [index] on behalf of a
+   caller whose span is still open. Each slot is written only by the
+   domain running its task and read once the batch has joined, so it
+   needs no lock. *)
+type slot = { slots : item list array; index : int }
+
+type stack = { mutable stack : open_span list; mutable parent : slot option }
 
 let stack_key = Domain.DLS.new_key (fun () -> { stack = []; parent = None })
 
-let roots : span list ref = ref [] (* newest first *)
+(* root spans and root-level fan-outs, newest first *)
+let roots : item list ref = ref []
 let roots_mutex = Mutex.create ()
-let foreign_mutex = Mutex.create ()
+
+let rec expand (counters, kids) = function
+  | Count (k, v) -> ((k, v) :: counters, kids)
+  | Kid sp -> (counters, sp :: kids)
+  | Fan slots ->
+      Array.fold_left
+        (fun acc items -> List.fold_left expand acc (List.rev items))
+        (counters, kids) slots
+
+(* counters and children of a newest-first item list, oldest first *)
+let expand_items items =
+  let counters, kids = List.fold_left expand ([], []) (List.rev items) in
+  (List.rev counters, List.rev kids)
 
 let freeze o seconds =
-  {
-    name = o.sname;
-    seconds;
-    counters = List.rev o.acc;
-    children = List.rev o.kids;
-  }
+  let counters, children = expand_items o.items in
+  { name = o.sname; seconds; counters; children }
 
-let attach_foreign_kid p sp =
-  Mutex.lock foreign_mutex;
-  p.kids <- sp :: p.kids;
-  Mutex.unlock foreign_mutex
+(* Record into the innermost open span, else into the borrowed slot,
+   else at the root. *)
+let record st item =
+  match st.stack with
+  | o :: _ -> o.items <- item :: o.items
+  | [] -> (
+      match st.parent with
+      | Some p -> p.slots.(p.index) <- item :: p.slots.(p.index)
+      | None ->
+          Mutex.lock roots_mutex;
+          roots := item :: !roots;
+          Mutex.unlock roots_mutex)
 
 let with_span name f =
   if not (Atomic.get on_flag) then f ()
   else begin
     let st = Domain.DLS.get stack_key in
-    let o = { sname = name; acc = []; kids = [] } in
+    let o = { sname = name; items = [] } in
     st.stack <- o :: st.stack;
     let t0 = Clock.now () in
     Fun.protect
@@ -316,51 +337,37 @@ let with_span name f =
         (match st.stack with
         | top :: rest when top == o -> st.stack <- rest
         | _ -> () (* unbalanced: leave the stack alone *));
-        match st.stack with
-        | parent :: _ -> parent.kids <- sp :: parent.kids
-        | [] -> (
-            match st.parent with
-            | Some p -> attach_foreign_kid p sp
-            | None ->
-                Mutex.lock roots_mutex;
-                roots := sp :: !roots;
-                Mutex.unlock roots_mutex))
+        record st (Kid sp))
       f
   end
 
 let span_add name v =
   if Atomic.get on_flag then
     let st = Domain.DLS.get stack_key in
-    match st.stack with
-    | o :: _ -> o.acc <- (name, v) :: o.acc
-    | [] -> (
-        match st.parent with
-        | Some p ->
-            Mutex.lock foreign_mutex;
-            p.acc <- (name, v) :: p.acc;
-            Mutex.unlock foreign_mutex
-        | None -> ())
+    if st.stack <> [] || Option.is_some st.parent then record st (Count (name, v))
 
 (* ---------------- cross-domain span context ---------------- *)
 
-type context = open_span option
+type context = item list array option
 
-let context () =
+let context ~tasks =
   if not (Atomic.get on_flag) then None
-  else
-    let st = Domain.DLS.get stack_key in
-    match st.stack with o :: _ -> Some o | [] -> st.parent
+  else begin
+    let slots = Array.make (max tasks 0) [] in
+    record (Domain.DLS.get stack_key) (Fan slots);
+    Some slots
+  end
 
 let context_active = Option.is_some
 
-let with_context ctx f =
+let with_context ctx index f =
   match ctx with
   | None -> f ()
-  | Some _ ->
+  | Some slots ->
       let st = Domain.DLS.get stack_key in
       let saved_stack = st.stack and saved_parent = st.parent in
       st.stack <- [];
-      st.parent <- ctx;
+      st.parent <- Some { slots; index };
       Fun.protect
         ~finally:(fun () ->
           st.stack <- saved_stack;
@@ -371,7 +378,7 @@ let spans () =
   Mutex.lock roots_mutex;
   let r = !roots in
   Mutex.unlock roots_mutex;
-  List.rev r
+  snd (expand_items r)
 
 (* one name column for the whole forest: as wide as its widest
    indented name, so every "ms" lands in the same column *)

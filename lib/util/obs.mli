@@ -110,7 +110,8 @@ type span = {
   name : string;
   seconds : float;
   counters : (string * int) list;  (** in recording order *)
-  children : span list;  (** in creation order *)
+  children : span list;
+      (** in creation order; a pool batch's in task-index order *)
 }
 
 val with_span : string -> (unit -> 'a) -> 'a
@@ -130,25 +131,32 @@ val span_add : string -> int -> unit
     A fan-out (the domain pool) would otherwise sever the span tree:
     spans opened inside worker tasks have no open parent on the worker
     and become roots, so the tree's shape depends on the job count.
-    The submitting side captures {!context} and runs each task under
-    {!with_context}; spans and counters completing at the task's top
-    level then attach to the submitter's open span — same tree shape
-    at any [SHELL_JOBS]. *)
+    The submitting side captures a {!context} for its batch and runs
+    task [i] under [with_context ctx i]; spans and counters completing
+    at the task's top level then attach to the submitter's open span
+    (or the roots), in task-index order at the point the batch was
+    submitted — the same tree, line for line, at any [SHELL_JOBS]. *)
 
 type context
-(** The innermost open span of the calling domain (possibly itself
-    borrowed), or nothing. *)
+(** A batch's slots in the innermost open span of the calling domain
+    (possibly itself a borrowed slot) or among the roots, or nothing. *)
 
-val context : unit -> context
+val context : tasks:int -> context
+(** Reserve, at the current point of the innermost open span (or of
+    the root list when none is open), one slot for each of [tasks]
+    tasks. Inactive when collection is off. *)
+
 val context_active : context -> bool
 
-val with_context : context -> (unit -> 'a) -> 'a
-(** Run [f] with an empty local span stack whose overflow parent is
-    [ctx]. The caller's own stack is saved and restored; with an
-    inactive context this is exactly [f ()]. *)
+val with_context : context -> int -> (unit -> 'a) -> 'a
+(** [with_context ctx i f] runs [f] with an empty local span stack
+    whose overflow parent is slot [i] of [ctx] ([0 <= i < tasks]). The
+    caller's own stack is saved and restored; with an inactive context
+    this is exactly [f ()]. *)
 
 val spans : unit -> span list
-(** Completed root spans, oldest first. *)
+(** Completed root spans, oldest first; a root-level pool batch's in
+    task-index order. *)
 
 val pp_spans : Format.formatter -> span list -> unit
 (** Indented tree, one line per span: wall time and counters. The name

@@ -189,13 +189,14 @@ let count_batch n =
 let mapi_uncounted ?jobs f arr =
   let n = Array.length arr in
   let jobs = resolve jobs in
-  (* Lend the caller's open span to every task — wrapped before the
-     path split so the span tree has the same shape on the sequential
-     bypass as across worker domains. *)
+  (* Lend the caller's open span to every task, each under its own
+     index — wrapped before the path split so the span tree is the same,
+     children in index order, on the sequential bypass as across worker
+     domains. *)
   let f =
-    let ctx = Obs.context () in
+    let ctx = Obs.context ~tasks:n in
     if Obs.context_active ctx then
-      fun i x -> Obs.with_context ctx (fun () -> f i x)
+      fun i x -> Obs.with_context ctx i (fun () -> f i x)
     else f
   in
   if n <= 1 || jobs <= 1 || inside_task () then seq_mapi f arr

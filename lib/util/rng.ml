@@ -1,33 +1,44 @@
 (* Splitmix64: fast, high-quality, trivially seedable. The golden-gamma
-   constant and the mixing rounds follow Steele, Lea & Flood (OOPSLA'14). *)
+   constant and the mixing rounds follow Steele, Lea & Flood (OOPSLA'14).
 
-type t = { mutable state : int64 }
+   The 64-bit state lives in an 8-byte [Bytes.t], read and written with
+   the unboxed 64-bit bytes primitives: a [mutable state : int64] field
+   would box a fresh int64 on every advance. With [mix] and [bits64]
+   inlined, a draw allocates nothing. *)
+
+type t = Bytes.t
+
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  set64u t 0 s;
+  t
 
-let copy t = { state = t.state }
+let create seed = of_state (Int64.of_int seed)
 
-let mix z =
+let copy = Bytes.copy
+
+let[@inline] mix z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let[@inline] bits64 t =
+  let s = Int64.add (get64u t 0) golden_gamma in
+  set64u t 0 s;
+  mix s
 
-let split t =
-  let s = bits64 t in
-  { state = s }
+let split t = of_state (bits64 t)
 
 let child t i =
   if i < 0 then invalid_arg "Rng.child: negative index";
   (* Perturb the current state by a per-index multiple of the gamma and
      re-mix; the parent's own stream is left untouched. *)
-  let s = Int64.add t.state (Int64.mul (Int64.of_int (i + 1)) golden_gamma) in
-  { state = mix s }
+  of_state (mix (Int64.add (get64u t 0) (Int64.mul (Int64.of_int (i + 1)) golden_gamma)))
 
 let split_n t n =
   if n < 0 then invalid_arg "Rng.split_n: negative count";
@@ -37,18 +48,20 @@ let split_n t n =
    on 64-bit OCaml [max_int] is exactly 2^62 - 1, the largest raw draw. *)
 let bits62_max = max_int
 
+let[@inline] bits62 t = Int64.to_int (Int64.shift_right_logical (bits64 t) 2)
+
 let int t bound =
   assert (bound > 0);
   (* Rejection sampling: [raw mod bound] alone over-weights the low
      residues whenever [bound] does not divide 2^62. Redraw in the
      (vanishingly rare for small bounds) tail where the last, partial
      block of residues starts. *)
-  let rec draw () =
-    let raw = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
-    let r = raw mod bound in
-    if raw - r > bits62_max - bound + 1 then draw () else r
-  in
-  draw ()
+  let limit = bits62_max - bound + 1 in
+  let raw = ref (bits62 t) in
+  while !raw - (!raw mod bound) > limit do
+    raw := bits62 t
+  done;
+  !raw mod bound
 
 let float t bound =
   let raw = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
@@ -89,13 +102,16 @@ let vectors_packed ?(lanes = Sys.int_size) t ~vectors ~bits =
   done;
   chunks
 
-let shuffle t arr =
-  for i = Array.length arr - 1 downto 1 do
+let shuffle_prefix t arr len =
+  if len < 0 || len > Array.length arr then invalid_arg "Rng.shuffle_prefix";
+  for i = len - 1 downto 1 do
     let j = int t (i + 1) in
     let tmp = arr.(i) in
     arr.(i) <- arr.(j);
     arr.(j) <- tmp
   done
+
+let shuffle t arr = shuffle_prefix t arr (Array.length arr)
 
 let choice t arr =
   assert (Array.length arr > 0);

@@ -53,7 +53,15 @@ val vectors_packed : ?lanes:int -> t -> vectors:int -> bits:int -> int array arr
     [vectors * bits] {!bool} draws. *)
 
 val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)
+(** In-place Fisher-Yates shuffle ([shuffle_prefix] over the whole
+    array). *)
+
+val shuffle_prefix : t -> 'a array -> int -> unit
+(** [shuffle_prefix t arr len] shuffles [arr.(0) .. arr.(len - 1)] in
+    place and leaves the rest alone, making exactly the draws [shuffle]
+    makes on an array of length [len]: callers can filter into a reused
+    buffer and shuffle the filled part without a copy. Requires
+    [0 <= len <= Array.length arr]. *)
 
 val choice : t -> 'a array -> 'a
 (** Uniformly chosen element. Requires a non-empty array. *)

@@ -757,6 +757,223 @@ let test_equiv_sequential_still_finds () =
   | Equiv.Counterexample cex -> Alcotest.(check int) "vector width" 1 (Array.length cex)
   | Equiv.Equivalent -> Alcotest.fail "negated feedback must diverge"
 
+(* ---- reference models for the array kernels ---- *)
+
+(* The cons-list Kahn order that Netlist.topo_order replaced: successor
+   lists grow by prepending, so each is visited latest-first. *)
+let ref_topo_order t =
+  let cells = N.cells t in
+  let n = Array.length cells in
+  let d = Array.make (max (N.num_nets t) 1) (-1) in
+  Array.iteri (fun i c -> d.(c.Cell.out) <- i) cells;
+  let indeg = Array.make n 0 in
+  let succs = Array.make n [] in
+  for i = 0 to n - 1 do
+    let c = cells.(i) in
+    if not (Cell.is_sequential c.Cell.kind) then
+      Array.iter
+        (fun net ->
+          match d.(net) with
+          | -1 -> ()
+          | j ->
+              if not (Cell.is_sequential cells.(j).Cell.kind) then begin
+                indeg.(i) <- indeg.(i) + 1;
+                succs.(j) <- i :: succs.(j)
+              end)
+        c.Cell.ins
+  done;
+  let queue = Queue.create () in
+  for i = 0 to n - 1 do
+    if (not (Cell.is_sequential cells.(i).Cell.kind)) && indeg.(i) = 0 then
+      Queue.add i queue
+  done;
+  let order = ref [] in
+  while not (Queue.is_empty queue) do
+    let i = Queue.pop queue in
+    order := i :: !order;
+    List.iter
+      (fun j ->
+        indeg.(j) <- indeg.(j) - 1;
+        if indeg.(j) = 0 then Queue.add j queue)
+      succs.(i)
+  done;
+  let n_comb =
+    Array.fold_left
+      (fun k c -> if Cell.is_sequential c.Cell.kind then k else k + 1)
+      0 cells
+  in
+  if List.length !order <> n_comb then failwith "Netlist.topo_order: combinational cycle";
+  for i = 0 to n - 1 do
+    if Cell.is_sequential cells.(i).Cell.kind then order := i :: !order
+  done;
+  Array.of_list (List.rev !order)
+
+type ref_fact = Unknown | Const of bool | Alias of int
+
+(* The option-array fold that Specialize.bind_keys replaced. *)
+let ref_bind_keys nl key =
+  let key_nets = N.key_nets nl in
+  if Array.length key <> Array.length key_nets then
+    invalid_arg "Specialize.bind_keys: key length mismatch";
+  let n_nets = max (N.num_nets nl) 1 in
+  let facts = Array.make n_nets Unknown in
+  Array.iteri (fun i net -> facts.(net) <- Const key.(i)) key_nets;
+  let rec resolve net =
+    match facts.(net) with
+    | Alias net' ->
+        let root = resolve net' in
+        if root <> net' then facts.(net) <- Alias root;
+        root
+    | Unknown | Const _ -> net
+  in
+  let value net =
+    match facts.(resolve net) with Const b -> Some b | Unknown | Alias _ -> None
+  in
+  let cells = N.cells nl in
+  let folded = Array.make (Array.length cells) false in
+  let try_fold i (c : Cell.t) =
+    if folded.(i) || Cell.is_sequential c.Cell.kind then false
+    else begin
+      let ins = c.Cell.ins in
+      let v j = value ins.(j) in
+      let learn fact =
+        folded.(i) <- true;
+        (match fact with
+        | Alias net -> facts.(c.Cell.out) <- Alias (resolve net)
+        | other -> facts.(c.Cell.out) <- other);
+        true
+      in
+      let vals = Array.init (Array.length ins) v in
+      let all_const = Array.for_all Option.is_some vals in
+      if all_const && Array.length ins > 0 then
+        learn (Const (Cell.eval c.Cell.kind (Array.map Option.get vals)))
+      else
+        match (c.Cell.kind, vals) with
+        | Cell.Const b, _ -> learn (Const b)
+        | Cell.Buf, _ -> learn (Alias ins.(0))
+        | Cell.And, [| Some false; _ |] | Cell.And, [| _; Some false |] ->
+            learn (Const false)
+        | Cell.And, [| Some true; _ |] -> learn (Alias ins.(1))
+        | Cell.And, [| _; Some true |] -> learn (Alias ins.(0))
+        | Cell.Or, [| Some true; _ |] | Cell.Or, [| _; Some true |] ->
+            learn (Const true)
+        | Cell.Or, [| Some false; _ |] -> learn (Alias ins.(1))
+        | Cell.Or, [| _; Some false |] -> learn (Alias ins.(0))
+        | Cell.Nand, [| Some false; _ |] | Cell.Nand, [| _; Some false |] ->
+            learn (Const true)
+        | Cell.Nor, [| Some true; _ |] | Cell.Nor, [| _; Some true |] ->
+            learn (Const false)
+        | Cell.Xor, [| Some false; _ |] -> learn (Alias ins.(1))
+        | Cell.Xor, [| _; Some false |] -> learn (Alias ins.(0))
+        | Cell.Xnor, [| Some true; _ |] -> learn (Alias ins.(1))
+        | Cell.Xnor, [| _; Some true |] -> learn (Alias ins.(0))
+        | Cell.Mux2, [| Some s; _; _ |] -> learn (Alias ins.(if s then 2 else 1))
+        | Cell.Mux2, _ when resolve ins.(1) = resolve ins.(2) ->
+            learn (Alias ins.(1))
+        | Cell.Mux4, [| Some s0; Some s1; _; _; _; _ |] ->
+            let idx = 2 + ((if s0 then 1 else 0) lor if s1 then 2 else 0) in
+            learn (Alias ins.(idx))
+        | _ -> false
+    end
+  in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    Array.iteri (fun i c -> if try_fold i c then changed := true) cells
+  done;
+  let out = N.create (N.name nl) in
+  let mapping = Array.make n_nets (-1) in
+  let const_net = [| -1; -1 |] in
+  List.iter
+    (fun (nm, net) -> mapping.(net) <- N.add_input out nm)
+    (N.inputs nl);
+  let rec map_net net =
+    let net = resolve net in
+    match facts.(net) with
+    | Const b ->
+        let i = Bool.to_int b in
+        if const_net.(i) = -1 then const_net.(i) <- N.const out b;
+        const_net.(i)
+    | Alias _ -> map_net net
+    | Unknown ->
+        if mapping.(net) = -1 then mapping.(net) <- N.new_net out;
+        mapping.(net)
+  in
+  Array.iteri
+    (fun i c ->
+      if not folded.(i) then
+        N.add_cell out
+          (Cell.make ~origin:c.Cell.origin c.Cell.kind
+             (Array.map map_net c.Cell.ins)
+             (map_net c.Cell.out)))
+    cells;
+  List.iter
+    (fun (nm, net) -> N.add_output out nm (map_net net))
+    (N.outputs nl);
+  Rewrite.dead_cell_elim out
+
+let catalog_netlists () =
+  List.map
+    (fun (e : Shell_circuits.Catalog.entry) -> (e.Shell_circuits.Catalog.name, e.netlist ()))
+    Shell_circuits.Catalog.all
+
+(* Fuzz.Gen designs: flops, LUTs, muxes and, on every one, some keys *)
+let gen_netlists n =
+  let rng = Rng.create 0x70b0 in
+  List.init n (fun i ->
+      let shape = Shell_fuzz.Gen.random_shape rng in
+      let shape = { shape with Shell_fuzz.Gen.key_bits = 1 + (i mod 5) } in
+      (Printf.sprintf "gen%d" i, Shell_fuzz.Gen.netlist rng shape))
+
+let topo_or_cycle nl = match N.topo_order nl with o -> Some o | exception Failure _ -> None
+let ref_topo_or_cycle nl = match ref_topo_order nl with o -> Some o | exception Failure _ -> None
+
+let test_topo_order_matches_reference () =
+  let cyclic =
+    (* an OpenFPGA emission routes through decoys that close cycles *)
+    let nl = random_nl 5 6 60 in
+    let mapped = fst (Shell_synth.Lut_map.map ~k:4 nl) in
+    (Shell_fabric.Emit.emit ~style:Shell_fabric.Style.Openfpga mapped).Shell_fabric.Emit.locked
+  in
+  List.iter
+    (fun (name, nl) ->
+      Alcotest.(check (option (array int))) name (ref_topo_or_cycle nl) (topo_or_cycle nl))
+    (catalog_netlists () @ gen_netlists 60 @ [ ("openfpga emission", cyclic) ]);
+  Alcotest.(check bool) "the emission is cyclic" true (topo_or_cycle cyclic = None)
+
+let test_bind_keys_matches_reference () =
+  let rng = Rng.create 0xb14d in
+  let same name nl key =
+    Alcotest.(check string) name
+      (N.fingerprint (ref_bind_keys nl key))
+      (N.fingerprint (Specialize.bind_keys nl key))
+  in
+  let random_key n = Array.init n (fun _ -> Rng.bool rng) in
+  List.iter
+    (fun (name, nl) ->
+      let bits = List.length (N.keys nl) in
+      for k = 0 to 3 do
+        same (Printf.sprintf "%s key %d" name k) nl (random_key bits)
+      done)
+    (gen_netlists 60);
+  List.iter
+    (fun (name, nl) ->
+      let locks =
+        [
+          Shell_locking.Schemes.xor_keys ~seed:1 ~bits:16 nl;
+          Shell_locking.Schemes.random_lut ~seed:2 ~gates:6 nl;
+          Shell_locking.Schemes.mux_routing ~seed:3 ~width:8 nl;
+        ]
+      in
+      List.iter
+        (fun (lk : Shell_locking.Locked.t) ->
+          let what = name ^ "/" ^ lk.Shell_locking.Locked.scheme in
+          let locked = lk.Shell_locking.Locked.locked in
+          same (what ^ " correct key") locked lk.Shell_locking.Locked.key;
+          same (what ^ " random key") locked (random_key (Array.length lk.Shell_locking.Locked.key)))
+        locks)
+    (catalog_netlists ())
+
 let suite =
   [
     ("validate ok", `Quick, test_validate_ok);
@@ -768,6 +985,8 @@ let suite =
     ("validate_all collects every violation", `Quick, test_validate_all_collects);
     ("driver/fanout", `Quick, test_driver_fanout);
     ("topo order valid", `Quick, test_topo_order_valid);
+    ("topo order matches reference", `Quick, test_topo_order_matches_reference);
+    ("bind_keys matches reference", `Quick, test_bind_keys_matches_reference);
     ("cycle detection", `Quick, test_cycle_detection);
     ("sim comb", `Quick, test_sim_comb);
     ("sim sequential", `Quick, test_sim_sequential);

@@ -145,6 +145,46 @@ let test_span_tree_pnr_abort () =
     [ "connectivity"; "selection"; "extraction"; "synthesis"; "pnr" ]
     (List.map (fun (s : Obs.span) -> s.Obs.name) root.Obs.children)
 
+(* ---- span order across job counts ---- *)
+
+(* the tree as pp_spans lays it out, minus the times *)
+let span_lines spans =
+  let rec go depth acc (s : Obs.span) =
+    let counters =
+      List.map (fun (k, v) -> Printf.sprintf " %s=%d" k v) s.Obs.counters
+    in
+    let line = String.make (2 * depth) ' ' ^ s.Obs.name ^ String.concat "" counters in
+    List.fold_left (go (depth + 1)) (line :: acc) s.Obs.children
+  in
+  List.rev (List.fold_left (go 0) [] spans)
+
+(* a full FIR flow (lint nested under the pipeline span) and a bare
+   lint run (its rule fan-out at the root) *)
+let traced_lint_lines jobs =
+  let saved = Pool.default_jobs () in
+  Pool.set_default_jobs jobs;
+  Fun.protect ~finally:(fun () -> Pool.set_default_jobs saved) @@ fun () ->
+  Obs.reset ();
+  C.Pipeline.clear_cache ();
+  let o = C.Flow.run_staged (C.Flow.shell_config ()) (Lazy.force fir) in
+  Alcotest.(check bool) "flow succeeds" true (o.C.Pipeline.failed = None);
+  let subject = Shell_lint.Lint.subject (Lazy.force fir) in
+  ignore (Shell_lint.Lint.run ~jobs ~rules:Shell_lint.Rules.all subject);
+  span_lines (Obs.spans ())
+
+let test_span_order_jobs_independent () =
+  with_obs @@ fun () ->
+  let j1 = traced_lint_lines 1 in
+  Alcotest.(check bool) "lint rules traced" true
+    (List.exists (fun l -> String.starts_with ~prefix:"lint.rule." (String.trim l)) j1);
+  (* completion order varies run to run, so one lucky schedule proves
+     little: every one of several runs must match *)
+  for run = 1 to 4 do
+    Alcotest.(check (list string))
+      (Printf.sprintf "jobs 4 run %d: same span lines as jobs 1" run)
+      j1 (traced_lint_lines 4)
+  done
+
 (* ---- span rendering ---- *)
 
 (* [span] is a public record too: one name longer than the old fixed
@@ -338,6 +378,7 @@ let suite =
       test_stable_snapshot_byte_identical );
     ("span tree of a full flow", `Quick, test_span_tree_full_flow);
     ("span tree under pnr abort", `Quick, test_span_tree_pnr_abort);
+    ("span order independent of jobs", `Quick, test_span_order_jobs_independent);
     ("span tree columns aligned", `Quick, test_pp_spans_aligned);
     ("disabled path allocates nothing", `Quick, test_disabled_no_alloc);
     ("disabled path records nothing", `Quick, test_disabled_records_nothing);

@@ -238,31 +238,54 @@ let golden_run =
   ]
 
 (* Flow.run with each bundled design's SheLL TfR at the default seed:
-   bitstream MD5, the flow's PnR summary, and run on a 1x1 fabric with
-   4 chain slots (unplaced BLEs next to chain cells) *)
+   bitstream MD5, the flow's PnR summary, run on a 1x1 fabric with 4
+   chain slots (unplaced BLEs next to chain cells), then fingerprints of
+   the emitted lock, the full locked design and that design bound to
+   the bitstream, and the exact bits of the A/P/D overheads *)
 let golden_flow =
   [
-    (("PicoSoC", "openfpga"), "9561d044af59329901cc11e47c34f9d1", (3, 3, "ok", 145, 17, 0, 6, "3c289e12084fbd2bb28f16ba9c70688a"), (1, 1, "LUTs", 8, 8, 0, 1, "f7dbaf7d2e4e3b5a26bedc3f992890cc"));
-    (("PicoSoC", "fabulous"), "5719afc10753482c117e9c8a7d0b0a7a", (3, 2, "ok", 140, 24, 0, 6, "01fdfb7805446834cc82d6b85545d7de"), (1, 1, "LUTs", 8, 8, 0, 1, "f7dbaf7d2e4e3b5a26bedc3f992890cc"));
-    (("PicoSoC", "muxchain"), "85a4f33e66dc17fa9bee81c34b3ca182", (2, 2, "ok", 138, 22, 0, 4, "f51f26b29301be6853ac657f3d725028"), (1, 1, "LUTs", 54, 29, 0, 1, "7f6c0469544834043ce177be2cf80b1b"));
-    (("AES", "openfpga"), "3de7f267046fc3225166b335d8c6ae26", (3, 3, "ok", 182, 28, 0, 6, "3c4013c8cd0459e9fcab20e0f845360f"), (1, 1, "routing", 39, 27, 0, 1, "f7dbaf7d2e4e3b5a26bedc3f992890cc"));
-    (("AES", "fabulous"), "6affe3f3c8e87587433ecd871a622784", (3, 3, "ok", 182, 28, 0, 6, "3c4013c8cd0459e9fcab20e0f845360f"), (1, 1, "routing", 39, 27, 0, 1, "f7dbaf7d2e4e3b5a26bedc3f992890cc"));
-    (("AES", "muxchain"), "841d7ab61c78f06ab56cc0110484178a", (4, 4, "ok", 370, 33, 0, 5, "664e6cfeda1409f3540197ddff67adc8"), (1, 1, "routing", 102, 59, 2, 1, "f1c09c3549afb96d7f7d6537b98fd0aa"));
-    (("FIR", "openfpga"), "608931381635728307af928a6a8cf9fb", (3, 3, "ok", 173, 19, 0, 9, "a0f42c602554d4818511d45865e25a39"), (1, 1, "LUTs", 10, 10, 0, 1, "f7dbaf7d2e4e3b5a26bedc3f992890cc"));
-    (("FIR", "fabulous"), "7933cccc8fcf27ee9c16346a10e7e682", (3, 3, "ok", 173, 19, 0, 9, "a0f42c602554d4818511d45865e25a39"), (1, 1, "LUTs", 10, 10, 0, 1, "f7dbaf7d2e4e3b5a26bedc3f992890cc"));
-    (("FIR", "muxchain"), "d77e0523dc9dd9166a9ea361872657b1", (3, 3, "ok", 196, 19, 0, 9, "fc2513761852dee4981089c4ea785cfb"), (1, 1, "LUTs", 10, 10, 0, 1, "f7dbaf7d2e4e3b5a26bedc3f992890cc"));
-    (("SPMV", "openfpga"), "5d12bd30f7984d40cc251d37bc041514", (3, 3, "ok", 221, 23, 0, 9, "a9df54d7cd2d6e9ebccae62ad5340470"), (1, 1, "routing", 10, 10, 0, 1, "f7dbaf7d2e4e3b5a26bedc3f992890cc"));
-    (("SPMV", "fabulous"), "001843bd36d3cefd9210ce4a44862465", (3, 3, "ok", 221, 23, 0, 9, "a9df54d7cd2d6e9ebccae62ad5340470"), (1, 1, "routing", 10, 10, 0, 1, "f7dbaf7d2e4e3b5a26bedc3f992890cc"));
-    (("SPMV", "muxchain"), "8aefab290f0b25a816cd418fe1630a68", (3, 3, "ok", 265, 32, 0, 4, "914897abc2cdaeabdee4576781439320"), (1, 1, "routing", 92, 50, 2, 1, "0f59c6d785aef03d0e8a4b5b2b90b14d"));
-    (("DLA", "openfpga"), "c1184c7bb5e18dd67da895b762948bc1", (3, 3, "ok", 147, 19, 0, 7, "c04a985c528d5b4c53750a27f3efa2fc"), (1, 1, "LUTs", 13, 13, 0, 1, "f7dbaf7d2e4e3b5a26bedc3f992890cc"));
-    (("DLA", "fabulous"), "2b67a801afad7525473b9723f079b649", (3, 3, "ok", 147, 19, 0, 7, "c04a985c528d5b4c53750a27f3efa2fc"), (1, 1, "LUTs", 13, 13, 0, 1, "f7dbaf7d2e4e3b5a26bedc3f992890cc"));
-    (("DLA", "muxchain"), "685e12706e63b21c49d74e94262ef5fa", (1, 1, "ok", 71, 36, 0, 1, "66d37bf120cc405cc24d344a636db5b6"), (1, 1, "chain slots", 71, 36, 0, 1, "66d37bf120cc405cc24d344a636db5b6"));
-    (("SoC", "openfpga"), "06a8c9634dd3f22364ceb7edc9ee8655", (5, 5, "ok", 645, 24, 0, 25, "5cbd0f32e3a710c5cfe8315c04b0440c"), (1, 1, "routing", 17, 17, 0, 1, "f7dbaf7d2e4e3b5a26bedc3f992890cc"));
-    (("SoC", "fabulous"), "f754813506a0744827f15b2997437652", (5, 5, "ok", 645, 24, 0, 25, "5cbd0f32e3a710c5cfe8315c04b0440c"), (1, 1, "routing", 17, 17, 0, 1, "f7dbaf7d2e4e3b5a26bedc3f992890cc"));
-    (("SoC", "muxchain"), "6e6883edf618546e7d6c6cc13162fbd0", (3, 2, "ok", 273, 34, 0, 6, "05a129c8a60feb65a8bf110e540e9cd7"), (1, 1, "routing", 51, 27, 0, 1, "93e427fa8d9ae3ff7a72006ddebdcaec"));
-    (("Xbar", "openfpga"), "391d5c02bedeab3dc0b8e90ab464edb3", (8, 8, "ok", 1674, 36, 0, 54, "e04879a73698a49cf226440c770009df"), (1, 1, "routing", 6, 6, 0, 1, "f7dbaf7d2e4e3b5a26bedc3f992890cc"));
-    (("Xbar", "fabulous"), "366761d2eb276fe93be414aec276d2c6", (8, 8, "ok", 1674, 36, 0, 54, "e04879a73698a49cf226440c770009df"), (1, 1, "routing", 6, 6, 0, 1, "f7dbaf7d2e4e3b5a26bedc3f992890cc"));
-    (("Xbar", "muxchain"), "f9d0999f8cfe1205182aae219dd53033", (10, 10, "routing", 1817, 72, 6, 11, "f189f2b4fc265597f66bca786c18d574"), (1, 1, "routing", 192, 96, 2, 1, "e63f5922d1899fe303b57f4406edcdde"));
+    (("PicoSoC", "openfpga"), "9561d044af59329901cc11e47c34f9d1", (3, 3, "ok", 145, 17, 0, 6, "3c289e12084fbd2bb28f16ba9c70688a"), (1, 1, "LUTs", 8, 8, 0, 1, "f7dbaf7d2e4e3b5a26bedc3f992890cc"),
+      ("9936f6ab5b72bcef", "bf9c085c0a767eab", "6b336f002b53e373", (0x1.c931328930c92p+0, 0x1.dd63fb84ce31ap+0, 0x1.8444444444444p+1)));
+    (("PicoSoC", "fabulous"), "5719afc10753482c117e9c8a7d0b0a7a", (3, 2, "ok", 140, 24, 0, 6, "01fdfb7805446834cc82d6b85545d7de"), (1, 1, "LUTs", 8, 8, 0, 1, "f7dbaf7d2e4e3b5a26bedc3f992890cc"),
+      ("2ba9a50dee434892", "5e6a911f53853b60", "6b336f002b53e373", (0x1.8fe09bf5114d5p+0, 0x1.9fcf6fe684f17p+0, 0x1.15121deeabb7ap+1)));
+    (("PicoSoC", "muxchain"), "85a4f33e66dc17fa9bee81c34b3ca182", (2, 2, "ok", 138, 22, 0, 4, "f51f26b29301be6853ac657f3d725028"), (1, 1, "LUTs", 54, 29, 0, 1, "7f6c0469544834043ce177be2cf80b1b"),
+      ("f3b755b7f19ff219", "8737ff3a64790f37", "abddcba81dc830c3", (0x1.64d038f10e863p+0, 0x1.7524ee05df262p+0, 0x1.97e4b17e4b18p+0)));
+    (("AES", "openfpga"), "3de7f267046fc3225166b335d8c6ae26", (3, 3, "ok", 182, 28, 0, 6, "3c4013c8cd0459e9fcab20e0f845360f"), (1, 1, "routing", 39, 27, 0, 1, "f7dbaf7d2e4e3b5a26bedc3f992890cc"),
+      ("5042812861ba1cfc", "7936abdbe5238da8", "2f3575060ceedb9a", (0x1.85dcb4ad24914p+0, 0x1.999091322aa19p+0, 0x1.3400000000001p+2)));
+    (("AES", "fabulous"), "6affe3f3c8e87587433ecd871a622784", (3, 3, "ok", 182, 28, 0, 6, "3c4013c8cd0459e9fcab20e0f845360f"), (1, 1, "routing", 39, 27, 0, 1, "f7dbaf7d2e4e3b5a26bedc3f992890cc"),
+      ("7d94791f839a70cd", "33fb3330b92dc9d1", "2f3575060ceedb9a", (0x1.61d186960077dp+0, 0x1.719dc3b6d2424p+0, 0x1.ae66666666668p+1)));
+    (("AES", "muxchain"), "841d7ab61c78f06ab56cc0110484178a", (4, 4, "ok", 370, 33, 0, 5, "664e6cfeda1409f3540197ddff67adc8"), (1, 1, "routing", 102, 59, 2, 1, "f1c09c3549afb96d7f7d6537b98fd0aa"),
+      ("16ba85a34510f37f", "4d85338e802a3e17", "541eed2f39dd2caa", (0x1.45c69d3527e46p+0, 0x1.54d3f8acc46fap+0, 0x1.3377777777778p+1)));
+    (("FIR", "openfpga"), "608931381635728307af928a6a8cf9fb", (3, 3, "ok", 173, 19, 0, 9, "a0f42c602554d4818511d45865e25a39"), (1, 1, "LUTs", 10, 10, 0, 1, "f7dbaf7d2e4e3b5a26bedc3f992890cc"),
+      ("32dd61a8f32740ef", "86a46feebc7f9e87", "bb4ee9c03e264828", (0x1.064b8642b3d52p+1, 0x1.02778b99c1d99p+1, 0x1.046ba0ac3446cp+1)));
+    (("FIR", "fabulous"), "7933cccc8fcf27ee9c16346a10e7e682", (3, 3, "ok", 173, 19, 0, 9, "a0f42c602554d4818511d45865e25a39"), (1, 1, "LUTs", 10, 10, 0, 1, "f7dbaf7d2e4e3b5a26bedc3f992890cc"),
+      ("9861edd415429496", "651ea1ffc8dd3071", "bb4ee9c03e264828", (0x1.bebf6bf45a453p+0, 0x1.bb827d8395886p+0, 0x1.a0dd67c8a60ep+0)));
+    (("FIR", "muxchain"), "d77e0523dc9dd9166a9ea361872657b1", (3, 3, "ok", 196, 19, 0, 9, "fc2513761852dee4981089c4ea785cfb"), (1, 1, "LUTs", 10, 10, 0, 1, "f7dbaf7d2e4e3b5a26bedc3f992890cc"),
+      ("4f184d6ebcb02961", "856024097ccc2367", "4446d9b0483b4fd3", (0x1.a82e8f41be94ep+0, 0x1.ad4b1beb8d264p+0, 0x1.5ef164b56def3p+0)));
+    (("SPMV", "openfpga"), "5d12bd30f7984d40cc251d37bc041514", (3, 3, "ok", 221, 23, 0, 9, "a9df54d7cd2d6e9ebccae62ad5340470"), (1, 1, "routing", 10, 10, 0, 1, "f7dbaf7d2e4e3b5a26bedc3f992890cc"),
+      ("9e66c60b2cb83700", "55e6725d238e9c6d", "9577aa2f2034f08d", (0x1.43c5feca8388bp+1, 0x1.46be53ac76e02p+1, 0x1.1902f149902f1p+1)));
+    (("SPMV", "fabulous"), "001843bd36d3cefd9210ce4a44862465", (3, 3, "ok", 221, 23, 0, 9, "a9df54d7cd2d6e9ebccae62ad5340470"), (1, 1, "routing", 10, 10, 0, 1, "f7dbaf7d2e4e3b5a26bedc3f992890cc"),
+      ("94b7c205d033ba6e", "a481ed7ec3689751", "9577aa2f2034f08d", (0x1.0af01a68e4fbcp+1, 0x1.0e77e57436befp+1, 0x1.a97d5a0a97d5ap+0)));
+    (("SPMV", "muxchain"), "8aefab290f0b25a816cd418fe1630a68", (3, 3, "ok", 265, 32, 0, 4, "914897abc2cdaeabdee4576781439320"), (1, 1, "routing", 92, 50, 2, 1, "0f59c6d785aef03d0e8a4b5b2b90b14d"),
+      ("c2c4adc6be894b3a", "13ac33599c8795d2", "534910528d137747", (0x1.8b07d4eb42a06p+0, 0x1.94ff655f8aa8p+0, 0x1.4f0e51ff9b8fdp+0)));
+    (("DLA", "openfpga"), "c1184c7bb5e18dd67da895b762948bc1", (3, 3, "ok", 147, 19, 0, 7, "c04a985c528d5b4c53750a27f3efa2fc"), (1, 1, "LUTs", 13, 13, 0, 1, "f7dbaf7d2e4e3b5a26bedc3f992890cc"),
+      ("5544aaf71f9551cc", "24b261c949e34848", "f01f66d1a151b0c4", (0x1.ae1a72c84448bp+0, 0x1.ab49e4caf6c7ep+0, 0x1.7771f50622382p+0)));
+    (("DLA", "fabulous"), "2b67a801afad7525473b9723f079b649", (3, 3, "ok", 147, 19, 0, 7, "c04a985c528d5b4c53750a27f3efa2fc"), (1, 1, "LUTs", 13, 13, 0, 1, "f7dbaf7d2e4e3b5a26bedc3f992890cc"),
+      ("461a3d7e91e9381e", "f9018072db9d427e", "f01f66d1a151b0c4", (0x1.7bbc1ec397f52p+0, 0x1.7ad59d79abc8dp+0, 0x1.4a8208a6d5f7dp+0)));
+    (("DLA", "muxchain"), "685e12706e63b21c49d74e94262ef5fa", (1, 1, "ok", 71, 36, 0, 1, "66d37bf120cc405cc24d344a636db5b6"), (1, 1, "chain slots", 71, 36, 0, 1, "66d37bf120cc405cc24d344a636db5b6"),
+      ("90f8bd60accc0298", "ce0a8904dec8d466", "e37f8ebbdf2b9f4e", (0x1.306dbab650be1p+0, 0x1.31e75402afe12p+0, 0x1.21d4ffef78acp+0)));
+    (("SoC", "openfpga"), "06a8c9634dd3f22364ceb7edc9ee8655", (5, 5, "ok", 645, 24, 0, 25, "5cbd0f32e3a710c5cfe8315c04b0440c"), (1, 1, "routing", 17, 17, 0, 1, "f7dbaf7d2e4e3b5a26bedc3f992890cc"),
+      ("d2826e7edc252418", "16ca9f8ea0d2a884", "1ebd9493f4f7d8c6", (0x1.41f1be4f72b01p+3, 0x1.45f986bedee64p+3, 0x1.033d91d2a2067p+1)));
+    (("SoC", "fabulous"), "f754813506a0744827f15b2997437652", (5, 5, "ok", 645, 24, 0, 25, "5cbd0f32e3a710c5cfe8315c04b0440c"), (1, 1, "routing", 17, 17, 0, 1, "f7dbaf7d2e4e3b5a26bedc3f992890cc"),
+      ("478cb5018fcd3ee2", "ddad4885349377ee", "1ebd9493f4f7d8c6", (0x1.d6c7816fa4bb6p+2, 0x1.dfac1406da54dp+2, 0x1.a551e07585b9ap+0)));
+    (("SoC", "muxchain"), "6e6883edf618546e7d6c6cc13162fbd0", (3, 2, "ok", 273, 34, 0, 6, "05a129c8a60feb65a8bf110e540e9cd7"), (1, 1, "routing", 51, 27, 0, 1, "93e427fa8d9ae3ff7a72006ddebdcaec"),
+      ("d641332ec4bce486", "c608ba4416d766a2", "c92f1133a3be0080", (0x1.04181a52244d5p+2, 0x1.0f325155754e4p+2, 0x1.33255fb3f4c43p+0)));
+    (("Xbar", "openfpga"), "391d5c02bedeab3dc0b8e90ab464edb3", (8, 8, "ok", 1674, 36, 0, 54, "e04879a73698a49cf226440c770009df"), (1, 1, "routing", 6, 6, 0, 1, "f7dbaf7d2e4e3b5a26bedc3f992890cc"),
+      ("b6fbd52d66c098d4", "976f3b259cdf50f5", "c38ba06d40b09945", (0x1.37a681370dfe9p+5, 0x1.3878152a2c7ffp+5, 0x1.a9ee58469ee51p+3)));
+    (("Xbar", "fabulous"), "366761d2eb276fe93be414aec276d2c6", (8, 8, "ok", 1674, 36, 0, 54, "e04879a73698a49cf226440c770009df"), (1, 1, "routing", 6, 6, 0, 1, "f7dbaf7d2e4e3b5a26bedc3f992890cc"),
+      ("dd7a468fadad0b93", "a4aad92fe2b97922", "c38ba06d40b09945", (0x1.b95bca922cf2ep+4, 0x1.bd93e9773d05ep+4, 0x1.1a7b9611a7b95p+3)));
+    (("Xbar", "muxchain"), "f9d0999f8cfe1205182aae219dd53033", (10, 10, "routing", 1817, 72, 6, 11, "f189f2b4fc265597f66bca786c18d574"), (1, 1, "routing", 192, 96, 2, 1, "e63f5922d1899fe303b57f4406edcdde"),
+      ("24261d76481576e7", "816d469b934ef30e", "242711ae1314b826", (0x1.679bd883cbc72p+3, 0x1.73dc1d0215d6fp+3, 0x1.82de74862de78p+1)));
   ]
 
 let test_golden_fit_loop () =
@@ -282,7 +305,7 @@ let test_golden_run () =
 
 let test_golden_flow () =
   List.iter
-    (fun ((bench, style), bits, want_pnr, want_tiny) ->
+    (fun ((bench, style), bits, want_pnr, want_tiny, (locked, full, bound, (a, p, d))) ->
       let nl = match Jobs.netlist_of_bench bench with Ok n -> n | Error _ -> assert false in
       let route, lgc, label = Option.get (Jobs.default_tfr bench) in
       let style = style_of style in
@@ -297,7 +320,18 @@ let test_golden_flow () =
       Alcotest.check summary_t (what ^ " pnr") want_pnr (summary r.C.Flow.pnr);
       let tiny = { Fabric.style; cols = 1; rows = 1; chain_slots = 4 } in
       Alcotest.check summary_t (what ^ " 1x1") want_tiny
-        (summary (Pnr.run tiny r.C.Flow.mapped.C.Synthesize.netlist)))
+        (summary (Pnr.run tiny r.C.Flow.mapped.C.Synthesize.netlist));
+      let emitted = r.C.Flow.emitted in
+      Alcotest.(check string) (what ^ " locked") locked
+        (N.fingerprint emitted.Shell_fabric.Emit.locked);
+      Alcotest.(check string) (what ^ " locked_full") full (N.fingerprint r.C.Flow.locked_full);
+      let key = Shell_fabric.Bitstream.bits emitted.Shell_fabric.Emit.bitstream in
+      Alcotest.(check string) (what ^ " bound") bound
+        (N.fingerprint (Shell_netlist.Specialize.bind_keys r.C.Flow.locked_full key));
+      let o = r.C.Flow.overhead in
+      let hex = Printf.sprintf "%h" in
+      Alcotest.(check (list string)) (what ^ " A/P/D") (List.map hex [ a; p; d ])
+        (List.map hex [ o.C.Overhead.area; o.C.Overhead.power; o.C.Overhead.delay ]))
     golden_flow
 
 (* ---- the capacity walk ---- *)

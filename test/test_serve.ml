@@ -358,21 +358,6 @@ let test_server_concurrent_clients () =
     clients;
   stop_server addr d
 
-(* An attack verdict line ends its counts with the wall time
-   ("…, 0.11s"): the one field cap-bound budgets do not fix. Any word
-   that is a number followed by "s" is masked. *)
-let mask_wall_time s =
-  let mask w =
-    match String.index_opt w 's' with
-    | Some i when i > 0 && float_of_string_opt (String.sub w 0 i) <> None ->
-        "Ts" ^ String.sub w (i + 1) (String.length w - i - 1)
-    | _ -> w
-  in
-  String.split_on_char '\n' s
-  |> List.map (fun line ->
-         String.concat " " (List.map mask (String.split_on_char ' ' line)))
-  |> String.concat "\n"
-
 (* every job kind, not just lock: same bytes and same verdict over the
    socket as in-process, at cap-bound budgets so no clock binds *)
 let test_server_every_kind_identical () =
@@ -418,7 +403,7 @@ let test_server_every_kind_identical () =
           let out', ok' = run_local job in
           Alcotest.(check string)
             (kind ^ ": socket bytes = in-process bytes")
-            (mask_wall_time out') (mask_wall_time out);
+            out' out;
           Alcotest.(check bool) (kind ^ ": same verdict") ok' ok;
           Alcotest.(check bool) (kind ^ ": ok") true ok)
         jobs;

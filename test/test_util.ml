@@ -332,6 +332,60 @@ let test_rng_vectors_packed_stream_compat () =
   done;
   Alcotest.(check int64) "streams aligned" (Rng.bits64 a) (Rng.bits64 b)
 
+(* Literal draws recorded from the boxed-int64 implementation: the
+   bytes-backed state must reproduce every stream bit for bit. *)
+let test_rng_golden_stream () =
+  let t = Rng.create 20230417 in
+  let ints = List.init 6 (fun i -> Rng.int t (if i mod 2 = 0 then 1000 else max_int)) in
+  Alcotest.(check (list int)) "int"
+    [ 113; 1552936579385360845; 721; 647143892680501087; 808; 2570281631874846155 ]
+    ints;
+  Alcotest.(check (list bool)) "bool"
+    [ true; false; false; false; false; true; true; true ]
+    (List.init 8 (fun _ -> Rng.bool t));
+  Alcotest.(check (list (float 0.0))) "float"
+    [ 0x1.e2ca835c296ecp-3; 0x1.cdb6a38682425p-1; 0x1.f9e943b03e998p-2 ]
+    (List.init 3 (fun _ -> Rng.float t 1.0));
+  let s = Rng.split t in
+  Alcotest.(check (list int64)) "split"
+    [ 0xef04532af3c61a99L; 0xfc5dbbc5b8fd2abaL; 0xb526f74e86483b43L ]
+    (List.init 3 (fun _ -> Rng.bits64 s));
+  let c = Rng.child t 5 in
+  Alcotest.(check (list int64)) "child"
+    [ 0xfca3657498ff007dL; 0xbccef8135b65daa1L; 0xb52f53c2c74f43b7L ]
+    (List.init 3 (fun _ -> Rng.bits64 c));
+  let a = Array.init 10 Fun.id in
+  Rng.shuffle t a;
+  Alcotest.(check (array int)) "shuffle" [| 9; 7; 4; 1; 3; 5; 8; 2; 0; 6 |] a;
+  Alcotest.(check int64) "state after" 0x6d60db2f72641bfeL (Rng.bits64 t)
+
+let test_rng_int_no_alloc () =
+  let t = Rng.create 3 in
+  let n = 100_000 in
+  let acc = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 1 to n do
+    acc := !acc + Rng.int t (1 + (i land 1023))
+  done;
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity !acc);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words over %d draws" words n)
+    true
+    (words /. float_of_int n < 1.0)
+
+let test_rng_shuffle_prefix () =
+  (* the prefix shuffle makes the draws a whole-array shuffle of that
+     length makes, and leaves the tail alone *)
+  let a = Rng.create 99 and b = Rng.create 99 in
+  let buf = Array.init 12 Fun.id in
+  Rng.shuffle_prefix a buf 7;
+  let whole = Array.init 7 Fun.id in
+  Rng.shuffle b whole;
+  Alcotest.(check (array int)) "prefix" whole (Array.sub buf 0 7);
+  Alcotest.(check (array int)) "tail" [| 7; 8; 9; 10; 11 |] (Array.sub buf 7 5);
+  Alcotest.(check int64) "streams aligned" (Rng.bits64 a) (Rng.bits64 b)
+
 let test_tt_eval_row () =
   let t = Truthtab.var 1 ~arity:3 in
   for row = 0 to 7 do
@@ -357,6 +411,9 @@ let suite =
     ("rng split independent", `Quick, test_rng_split_independent);
     ("rng word stream compat", `Quick, test_rng_word_stream_compat);
     ("rng vectors_packed stream compat", `Quick, test_rng_vectors_packed_stream_compat);
+    ("rng golden stream", `Quick, test_rng_golden_stream);
+    ("rng int allocation-free", `Quick, test_rng_int_no_alloc);
+    ("rng shuffle_prefix", `Quick, test_rng_shuffle_prefix);
     ("truthtab eval_row", `Quick, test_tt_eval_row);
     ("truthtab const", `Quick, test_tt_const);
     ("truthtab var", `Quick, test_tt_var);
